@@ -77,8 +77,9 @@ soak-cluster-short:
 	$(GO) run ./cmd/ipmserve -soak-cluster -soak-members 3 -soak-replicas 2 -soak-jobs 60 -soak-cycles 1 -soak-timeout 30s
 
 # Short native-fuzz pass over both parser entry points (strict and
-# tolerant), the streaming-scanner differential, and the framed-WAL
-# replay path; longer sessions:
+# tolerant), the streaming-scanner differential, the framed-WAL replay
+# path and the two cluster merge paths (per-job wire rollups and
+# partials); longer sessions:
 # go test -fuzz FuzzScanVsParse ./internal/profstore
 FUZZTIME ?= 5s
 fuzz:
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanVsParse -fuzztime $(FUZZTIME) ./internal/profstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/profstore
 	$(GO) test -run '^$$' -fuzz FuzzRollupWire -fuzztime $(FUZZTIME) ./internal/profstore
+	$(GO) test -run '^$$' -fuzz FuzzPartialMerge -fuzztime $(FUZZTIME) ./internal/profstore
 
 verify: build vet test race-faults serve-e2e soak-short soak-cluster-short fuzz bench-check
 

@@ -28,9 +28,10 @@
 //
 // With -peers the member joins a cluster: ingest is routed to the R
 // consistent-hash owners of each job id (acked at majority quorum) and
-// /agg, /regress and /jobs are answered by parallel scatter-gather over
-// compact per-job rollups, byte-identical to a single node holding the
-// whole corpus. Every member is a router; -self names this member's own
+// /agg, /regress and /jobs are answered by parallel scatter-gather,
+// byte-identical to a single node holding the whole corpus: each member
+// ships one partial aggregate over the jobs it is primary for when the
+// quorum equals R (R ≤ 2), per-job rollups otherwise. Every member is a router; -self names this member's own
 // base URL within -peers.
 //
 // With -selftest the command runs the built-in load generator instead

@@ -3,7 +3,6 @@ package profstore
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"ipmgo/internal/ipm"
 )
@@ -148,87 +147,48 @@ func (s *Store) aggregateCold(opts AggOptions) *AggReport {
 	return aggregateJobs(s.Select(opts.Sel), opts)
 }
 
-// aggregateJobs merges the per-job rollups. Each job was reduced once at
-// ingest; the query-time cost is proportional to the number of distinct
-// call sites and kernels, not the number of rank entries.
+// aggregateJobs reduces the jobs' ingest-time rollups to one Partial
+// and finalizes it: the query-time cost is proportional to the number
+// of distinct call sites and kernels, not the number of rank entries.
 func aggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
+	return BuildPartial(jobs).Report(opts)
+}
+
+// Report finalizes the partial into the GET /agg body for opts.
+func (p *Partial) Report(opts AggOptions) *AggReport {
 	topN := opts.TopN
 	if topN <= 0 {
 		topN = 10
 	}
-	rep := &AggReport{Selector: opts.Sel, Jobs: len(jobs)}
+	rep := &AggReport{
+		Selector: opts.Sel, Jobs: p.jobs, Ranks: p.ranks,
+		LostRanks: p.lostRanks, Salvaged: p.salvaged,
 
-	sites := make(map[string]*ipm.Stats)
-	kernels := make(map[string]*ipm.Stats)
-	worst := make(map[string]ImbalanceAgg)
-
-	var wall, gpu, xfer, idle, mpi, stall time.Duration
-	var energyNJ int64
-	for _, job := range jobs {
-		ro := job.roll()
-		rep.Ranks += job.Ranks
-		rep.LostRanks += ro.lostRanks
-		if job.Salvaged {
-			rep.Salvaged++
+		WallclockSeconds:   p.wall.Seconds(),
+		GPUSeconds:         p.gpu.Seconds(),
+		TransferSeconds:    p.xfer.Seconds(),
+		HostIdleSeconds:    p.idle.Seconds(),
+		MPISeconds:         p.mpi.Seconds(),
+		SubmitStallSeconds: p.stall.Seconds(),
+		EnergyJoules:       float64(p.energy) / 1e9,
+	}
+	if p.wall > 0 {
+		rep.GPUBusyFraction = float64(p.gpu) / float64(p.wall)
+		rep.HostBlockedFraction = float64(p.idle) / float64(p.wall)
+	}
+	if len(p.jobEnergy) > 0 {
+		rep.JobEnergy = make([]JobEnergyAgg, 0, len(p.jobEnergy))
+	}
+	for _, je := range p.jobEnergy {
+		row := JobEnergyAgg{Job: je.id, Ranks: je.ranks, EnergyJoules: float64(je.nj) / 1e9}
+		if je.ranks > 0 {
+			row.PerRankJoules = row.EnergyJoules / float64(je.ranks)
 		}
-		wall += ro.wall
-		gpu += ro.gpu
-		xfer += ro.xfer
-		idle += ro.idle
-		mpi += ro.mpi
-		stall += ro.stall
-		if ro.energy != 0 {
-			energyNJ += ro.energy
-			je := JobEnergyAgg{
-				Job: job.ID, Ranks: job.Ranks,
-				EnergyJoules: float64(ro.energy) / 1e9,
-			}
-			if job.Ranks > 0 {
-				je.PerRankJoules = je.EnergyJoules / float64(job.Ranks)
-			}
-			rep.JobEnergy = append(rep.JobEnergy, je)
-		}
-		for name, st := range ro.sites {
-			acc, ok := sites[name]
-			if !ok {
-				acc = &ipm.Stats{}
-				sites[name] = acc
-			}
-			acc.Merge(st)
-		}
-		for k, st := range ro.kernels {
-			acc, ok := kernels[k]
-			if !ok {
-				acc = &ipm.Stats{}
-				kernels[k] = acc
-			}
-			acc.Merge(st)
-		}
-		// Per-rank imbalance (max/avg) per call site, worst job wins.
-		// Jobs arrive sorted by id (Select) and each rollup lists every
-		// site once, so this reproduces the original walk exactly.
-		for _, ia := range ro.imb {
-			w, ok := worst[ia.Name]
-			if !ok || ia.MaxOverAvg > w.MaxOverAvg || (ia.MaxOverAvg == w.MaxOverAvg && ia.WorstJob < w.WorstJob) {
-				worst[ia.Name] = ia
-			}
-		}
+		rep.JobEnergy = append(rep.JobEnergy, row)
 	}
 
-	rep.WallclockSeconds = wall.Seconds()
-	rep.GPUSeconds = gpu.Seconds()
-	rep.TransferSeconds = xfer.Seconds()
-	rep.HostIdleSeconds = idle.Seconds()
-	rep.MPISeconds = mpi.Seconds()
-	rep.SubmitStallSeconds = stall.Seconds()
-	rep.EnergyJoules = float64(energyNJ) / 1e9
-	if wall > 0 {
-		rep.GPUBusyFraction = float64(gpu) / float64(wall)
-		rep.HostBlockedFraction = float64(idle) / float64(wall)
-	}
-
-	rep.CallSites = make([]CallSiteAgg, 0, len(sites))
-	for name, acc := range sites {
+	rep.CallSites = make([]CallSiteAgg, 0, len(p.sites))
+	for name, acc := range p.sites {
 		row := CallSiteAgg{
 			Name:     name,
 			Domain:   ipm.Classify(name).String(),
@@ -243,8 +203,8 @@ func aggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
 		if acc.Count > 0 {
 			row.PerCall = acc.Avg().Seconds()
 		}
-		if wall > 0 {
-			row.WallPct = 100 * float64(acc.Total) / float64(wall)
+		if p.wall > 0 {
+			row.WallPct = 100 * float64(acc.Total) / float64(p.wall)
 		}
 		rep.CallSites = append(rep.CallSites, row)
 	}
@@ -256,8 +216,8 @@ func aggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
 		return a.Name < b.Name
 	})
 
-	rep.TopKernels = make([]KernelAgg, 0, len(kernels))
-	for k, st := range kernels {
+	rep.TopKernels = make([]KernelAgg, 0, len(p.kernels))
+	for k, st := range p.kernels {
 		rep.TopKernels = append(rep.TopKernels, KernelAgg{
 			Kernel: k, Launches: st.Count, Seconds: st.Total.Seconds(),
 		})
@@ -273,8 +233,8 @@ func aggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
 		rep.TopKernels = rep.TopKernels[:topN]
 	}
 
-	rep.Imbalance = make([]ImbalanceAgg, 0, len(worst))
-	for _, w := range worst {
+	rep.Imbalance = make([]ImbalanceAgg, 0, len(p.worst))
+	for _, w := range p.worst {
 		rep.Imbalance = append(rep.Imbalance, w)
 	}
 	sort.Slice(rep.Imbalance, func(i, j int) bool {

@@ -19,12 +19,12 @@ package profstore
 // which keeps /agg and /regress byte-identical under concurrency and
 // across WAL recovery.
 //
-// Cached reports are shared between callers: they are never mutated after
-// aggregateJobs/Regress builds them.
+// Cached values are shared between callers: they are never mutated after
+// they are built.
 
 // memoKey identifies one cacheable query.
 type memoKey struct {
-	kind string // "agg" or "regress"
+	kind string // "agg", "regress", "wire" or "ext" (Memo)
 	a, b string // selectors
 	n    int    // TopN (agg)
 	th   float64
@@ -58,4 +58,21 @@ func (s *Store) memoStore(ep uint64, key memoKey, rep any) {
 		s.memo = make(map[memoKey]any)
 	}
 	s.memo[key] = rep
+}
+
+// Memo returns the value cached under key for the store's current epoch,
+// calling compute on a miss and caching its result by the protocol
+// above. It lets a layer over the store (a cluster member's
+// primary-owner partials) cache what it derives from the corpus with the
+// store's own invalidation, lazily at read time. compute must depend on
+// the corpus alone, and callers must not mutate the shared result.
+func (s *Store) Memo(key string, compute func() any) any {
+	mk := memoKey{kind: "ext", a: key}
+	ep := s.epoch.Load()
+	if v, ok := s.memoLookup(ep, mk); ok {
+		return v
+	}
+	v := compute()
+	s.memoStore(ep, mk, v)
+	return v
 }

@@ -52,21 +52,6 @@ type RegressReport struct {
 	Rows        []RegressRow `json:"rows"`
 }
 
-// siteTotals rolls up per-call-site stats (name level, kernels excluded
-// the same way Aggregate excludes them) for one side of the comparison.
-// The per-job reduction happened at ingest; this only merges rollups.
-func siteTotals(jobs []*Job) map[string]ipm.Stats {
-	out := make(map[string]ipm.Stats)
-	for _, job := range jobs {
-		for name, st := range job.roll().sites {
-			cur := out[name]
-			cur.Merge(st)
-			out[name] = cur
-		}
-	}
-	return out
-}
-
 // Regress compares the base selection against the head selection.
 // Repeated comparisons of an unchanged store are served from the
 // epoch-keyed memo cache (see memo.go); the returned report is shared and
@@ -94,29 +79,42 @@ func (s *Store) regressCold(opts RegressOptions) *RegressReport {
 // cluster router can run the identical comparison over jobs merged from
 // shard rollups (see RegressJobs in wire.go).
 func regressFrom(baseJobs, headJobs []*Job, opts RegressOptions) *RegressReport {
-	base := siteTotals(baseJobs)
-	head := siteTotals(headJobs)
+	return RegressPartials(BuildPartial(baseJobs), BuildPartial(headJobs), opts)
+}
 
+// RegressPartials finalizes the base and head partials into the GET
+// /regress body for opts.
+func RegressPartials(base, head *Partial, opts RegressOptions) *RegressReport {
+	if opts.Threshold <= 0 {
+		opts.Threshold = 10
+	}
 	rep := &RegressReport{
 		Base: opts.Base, Head: opts.Head,
-		BaseJobs: len(baseJobs), HeadJobs: len(headJobs),
+		BaseJobs: base.jobs, HeadJobs: head.jobs,
 		Threshold: opts.Threshold,
 	}
 
-	names := make([]string, 0, len(base)+len(head))
-	for n := range base {
+	names := make([]string, 0, len(base.sites)+len(head.sites))
+	for n := range base.sites {
 		names = append(names, n)
 	}
-	for n := range head {
-		if _, ok := base[n]; !ok {
+	for n := range head.sites {
+		if _, ok := base.sites[n]; !ok {
 			names = append(names, n)
 		}
 	}
 	sort.Strings(names)
 
 	for _, n := range names {
-		b, inBase := base[n]
-		h, inHead := head[n]
+		var b, h ipm.Stats
+		bp, inBase := base.sites[n]
+		if inBase {
+			b = *bp
+		}
+		hp, inHead := head.sites[n]
+		if inHead {
+			h = *hp
+		}
 		row := RegressRow{
 			Name:        n,
 			BaseCalls:   b.Count,

@@ -31,8 +31,8 @@ type rollup struct {
 	lostRanks int
 
 	// sites accumulates per call-site stats with per-kernel pseudo
-	// entries excluded — the exact filter Aggregate's call-site table and
-	// Regress's siteTotals share.
+	// entries excluded — the call-site table of /agg and the rows /regress
+	// compares.
 	sites map[string]ipm.Stats
 	// kernels accumulates the per-kernel pseudo entries
 	// (@CUDA_EXEC_STRMxx:kernel) by kernel name.

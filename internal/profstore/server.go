@@ -266,7 +266,11 @@ func metaOf(j *Job) JobMeta {
 // owning member's raw documents, so the router gathers rows rather than
 // recomputing them).
 func (s *Store) JobMetas(sel string) []JobMeta {
-	jobs := s.Select(sel)
+	return Metas(s.Select(sel))
+}
+
+// Metas returns the GET /jobs rows for jobs, in the given order.
+func Metas(jobs []*Job) []JobMeta {
 	metas := make([]JobMeta, 0, len(jobs))
 	for _, j := range jobs {
 		metas = append(metas, metaOf(j))

@@ -9,20 +9,24 @@ import (
 	"ipmgo/internal/ipm"
 )
 
-// The shard rollup wire format: how a cluster member ships its local
-// per-job pre-aggregations to a scatter-gather router without ever
-// putting raw XML on the wire. One WireJob is the exact image of a
-// (*Job, *rollup) pair — every duration an integer nanosecond count,
-// every energy an integer nanojoule count, maps flattened to
-// name-sorted slices — so encode/decode round-trips losslessly and a
-// router that merges decoded WireJobs with AggregateJobs/RegressJobs
-// produces byte-identical output to a single node holding the whole
-// corpus (FuzzRollupWire enforces exactly that).
+// The per-job shard rollup wire format: how a cluster member ships its
+// local per-job pre-aggregations to a scatter-gather router without ever
+// putting raw XML on the wire. Clusters whose write quorum equals R ship
+// one Partial per member instead (partial.go); this format serves the
+// R ≥ 3 read path, where a primary may miss an acked write.
 //
-// Because job ids are content hashes, replicas of the same job on
-// different members serialise to identical WireJobs; the router dedups
-// by id, which makes the merge independent of replication factor,
-// member count and which replica answered first.
+// One WireJob is the exact image of a (*Job, *rollup) pair — every
+// duration an integer nanosecond count, every energy an integer
+// nanojoule count, maps flattened to name-sorted slices — so
+// encode/decode round-trips losslessly and a router that merges decoded
+// WireJobs with AggregateJobs/RegressJobs produces byte-identical output
+// to a single node holding the whole corpus (FuzzRollupWire enforces
+// exactly that).
+//
+// Replicas of the same job on different members serialise to identical
+// WireJobs unless a failed write left them diverged; the router dedups
+// by id, which makes the merge independent of replication factor and
+// member count.
 
 // WireStats is ipm.Stats on the wire: field-for-field, durations as
 // integer nanoseconds. Short keys keep a member's rollup payload small
@@ -188,7 +192,7 @@ func (s *Store) WireJobs() []WireJob {
 }
 
 // EncodeWireJobs renders the compact one-line JSON body of a
-// /shard/rollups response.
+// /shard/rollups response on the per-job path (see EncodePartials).
 func EncodeWireJobs(jobs []WireJob) ([]byte, error) {
 	return json.Marshal(jobs)
 }

@@ -22,7 +22,7 @@ import (
 // ships — so the per-member bottleneck is the fsync serialization a
 // single node cannot escape, and adding shards adds independent WALs
 // whose fsyncs overlap. /agg is the counterweight: scatter-gather adds
-// peer round-trips per query, so read latency is the price of the
+// a peer round-trip per query, so read latency is the price of the
 // write scaling.
 
 // benchCluster brings up n WAL-backed members (R=1: placement spread,
@@ -162,9 +162,12 @@ func BenchmarkClusterIngest(b *testing.B) {
 }
 
 // BenchmarkClusterAgg measures scatter-gather /agg latency at 1 and 4
-// shards over a 64-job corpus: per-member rollups are memoized, so the
-// measured cost is the wire round-trips plus the router-side merge —
-// the read-path price of sharding the writes.
+// shards over a 64-job corpus. With R=1 reads take the partial path:
+// each member's partial over the jobs it is primary for is memoized
+// under its store epoch, so the measured cost is one round-trip per
+// peer, decoding and merging one partial per peer, and the router's
+// finalize and render — the read-path price of sharding the writes,
+// which no longer grows with the job count.
 func BenchmarkClusterAgg(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -73,6 +73,18 @@ type Config struct {
 	FanOut int
 }
 
+// primariesComplete reports whether every acknowledged job is held by
+// its primary owner (Ring.Primary). That holds when the write quorum
+// equals R — R/2+1 == R, so R ≤ 2 — because an ack then means every
+// owner, the primary among them, holds the document. Reads then take the
+// partial path: each member aggregates only the jobs it is primary for,
+// a disjoint cover of the corpus, and ships one profstore.Partial per
+// selector. With R ≥ 3 a write can ack without its primary, so reads
+// keep the per-job wire path, merged and deduped by id at the router.
+// That path goes once anti-entropy repairs replicas and so makes every
+// primary complete.
+func (cfg Config) primariesComplete() bool { return cfg.Replicas/2+1 == cfg.Replicas }
+
 // Cluster is one member's router: it owns the ring, the peer clients
 // and the scatter-gather query surface.
 type Cluster struct {
@@ -454,13 +466,45 @@ func (c *Cluster) scatter(op, path string) (map[string][]byte, error) {
 	return out, nil
 }
 
-// localRollups is the member-side payload of /shard/rollups: the wire
-// image of the local selection.
-func (c *Cluster) localRollups(sel string) []profstore.WireJob {
-	if sel == "" {
+// primaryJobs returns the local selection restricted to the jobs this
+// member is primary for, in id order.
+func (c *Cluster) primaryJobs(sel string) []*profstore.Job {
+	jobs := c.cfg.Store.Select(sel)
+	out := jobs[:0]
+	for _, j := range jobs {
+		if c.ring.Primary(j.ID) == c.cfg.Self {
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
+// primaryPartial is this member's share of a partial-path read over sel,
+// memoized under the store epoch: built lazily by the first read after
+// an ingest, so the write path does no extra work.
+func (c *Cluster) primaryPartial(sel string) *profstore.Partial {
+	return c.cfg.Store.Memo("primary\x00"+c.cfg.Self+"\x00"+sel, func() any {
+		return profstore.BuildPartial(c.primaryJobs(sel))
+	}).(*profstore.Partial)
+}
+
+// localRollups is the per-job path's member-side payload: the wire
+// image of the union of the local selections, in id order.
+func (c *Cluster) localRollups(sels []string) []profstore.WireJob {
+	if len(sels) == 1 && sels[0] == "" {
 		return c.cfg.Store.WireJobs()
 	}
-	jobs := c.cfg.Store.Select(sel)
+	seen := make(map[string]bool)
+	var jobs []*profstore.Job
+	for _, sel := range sels {
+		for _, j := range c.cfg.Store.Select(sel) {
+			if !seen[j.ID] {
+				seen[j.ID] = true
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	sort.Slice(jobs, func(i, j int) bool { return jobs[i].ID < jobs[j].ID })
 	out := make([]profstore.WireJob, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Wire()
@@ -468,8 +512,35 @@ func (c *Cluster) localRollups(sel string) []profstore.WireJob {
 	return out
 }
 
+// localMetas is the member-side payload of /shard/jobs: on the partial
+// path only the jobs this member is primary for, so the router's
+// concatenation holds each job once.
+func (c *Cluster) localMetas(sel string) []profstore.JobMeta {
+	if c.cfg.primariesComplete() {
+		return profstore.Metas(c.primaryJobs(sel))
+	}
+	return c.cfg.Store.JobMetas(sel)
+}
+
+// handleShardRollups answers one member's share of a read over every
+// sel= in the query: one partial per selector on the partial path,
+// else the wire rollups of the union of the selections.
 func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
-	body, err := profstore.EncodeWireJobs(c.localRollups(r.URL.Query().Get("sel")))
+	sels := r.URL.Query()["sel"]
+	if len(sels) == 0 {
+		sels = []string{""}
+	}
+	var body []byte
+	var err error
+	if c.cfg.primariesComplete() {
+		parts := make([]*profstore.Partial, len(sels))
+		for i, sel := range sels {
+			parts[i] = c.primaryPartial(sel)
+		}
+		body, err = profstore.EncodePartials(parts)
+	} else {
+		body, err = profstore.EncodeWireJobs(c.localRollups(sels))
+	}
 	if err != nil {
 		fail(w, http.StatusInternalServerError, "encoding rollups: %v", err)
 		return
@@ -479,7 +550,7 @@ func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Cluster) handleShardJobs(w http.ResponseWriter, r *http.Request) {
-	body, err := json.Marshal(c.cfg.Store.JobMetas(r.URL.Query().Get("sel")))
+	body, err := json.Marshal(c.localMetas(r.URL.Query().Get("sel")))
 	if err != nil {
 		fail(w, http.StatusInternalServerError, "encoding jobs: %v", err)
 		return
@@ -488,21 +559,50 @@ func (c *Cluster) handleShardJobs(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// gatherJobs merges the cluster-wide selection into reconstructed jobs:
-// the router-side twin of Store.Select over the union corpus.
-func (c *Cluster) gatherJobs(op, sel string) ([]*profstore.Job, error) {
-	local := c.localRollups(sel)
-	if len(c.peers) == 0 {
-		return profstore.MergeWireJobs(local), nil
+// gather answers a cluster-wide read over sels with one scatter: one
+// merged partial per selector, each equal to what a single store
+// holding the union corpus would build from Select(sel).
+func (c *Cluster) gather(op string, sels ...string) ([]*profstore.Partial, error) {
+	var bodies map[string][]byte
+	if len(c.peers) > 0 {
+		var err error
+		bodies, err = c.scatter(op, "/shard/rollups?"+url.Values{"sel": sels}.Encode())
+		if err != nil {
+			return nil, err
+		}
 	}
-	bodies, err := c.scatter(op, "/shard/rollups?sel="+queryEscape(sel))
-	if err != nil {
-		return nil, err
+	if !c.cfg.primariesComplete() {
+		return c.mergeWireJobs(sels, bodies)
 	}
-	shards := make([][]profstore.WireJob, 0, len(bodies)+1)
-	shards = append(shards, local)
-	// Deterministic peer order (map iteration must not influence merge
-	// input order; dedup makes it invariant anyway, belt and braces).
+	parts := make([][]*profstore.Partial, len(sels))
+	for i, sel := range sels {
+		parts[i] = []*profstore.Partial{c.primaryPartial(sel)}
+	}
+	// The primary sets are disjoint, so peers' partials merge with no
+	// dedup; peer order is fixed, though the merge does not depend on it.
+	for _, peer := range c.peers {
+		pp, err := profstore.DecodePartials(bodies[peer])
+		if err == nil && len(pp) != len(sels) {
+			err = fmt.Errorf("got %d partials for %d selectors", len(pp), len(sels))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", peer, err)
+		}
+		for i := range sels {
+			parts[i] = append(parts[i], pp[i])
+		}
+	}
+	out := make([]*profstore.Partial, len(sels))
+	for i := range sels {
+		out[i] = profstore.MergePartials(parts[i]...)
+	}
+	return out, nil
+}
+
+// mergeWireJobs is gather's per-job path (see primariesComplete): every
+// member's wire rollups, deduped by id, filtered per selector.
+func (c *Cluster) mergeWireJobs(sels []string, bodies map[string][]byte) ([]*profstore.Partial, error) {
+	shards := [][]profstore.WireJob{c.localRollups(sels)}
 	for _, peer := range c.peers {
 		wj, err := profstore.DecodeWireJobs(bodies[peer])
 		if err != nil {
@@ -510,7 +610,12 @@ func (c *Cluster) gatherJobs(op, sel string) ([]*profstore.Job, error) {
 		}
 		shards = append(shards, wj)
 	}
-	return profstore.MergeWireJobs(shards...), nil
+	jobs := profstore.MergeWireJobs(shards...)
+	out := make([]*profstore.Partial, len(sels))
+	for i, sel := range sels {
+		out[i] = profstore.BuildPartial(profstore.FilterJobs(jobs, sel))
+	}
+	return out, nil
 }
 
 func (c *Cluster) handleAgg(w http.ResponseWriter, r *http.Request) {
@@ -524,12 +629,12 @@ func (c *Cluster) handleAgg(w http.ResponseWriter, r *http.Request) {
 		topN = n
 	}
 	sel := r.URL.Query().Get("sel")
-	jobs, err := c.gatherJobs("agg", sel)
+	parts, err := c.gather("agg", sel)
 	if err != nil {
 		failUnavailable(w, "scatter failed: %v", err)
 		return
 	}
-	rep := profstore.AggregateJobs(jobs, profstore.AggOptions{Sel: sel, TopN: topN})
+	rep := parts[0].Report(profstore.AggOptions{Sel: sel, TopN: topN})
 	if r.URL.Query().Get("format") == "html" {
 		profstore.WriteAggHTML(w, rep)
 		return
@@ -553,17 +658,12 @@ func (c *Cluster) handleRegress(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Threshold = v
 	}
-	baseJobs, err := c.gatherJobs("regress", base)
+	parts, err := c.gather("regress", base, head)
 	if err != nil {
 		failUnavailable(w, "scatter failed: %v", err)
 		return
 	}
-	headJobs, err := c.gatherJobs("regress", head)
-	if err != nil {
-		failUnavailable(w, "scatter failed: %v", err)
-		return
-	}
-	rep := profstore.RegressJobs(baseJobs, headJobs, opts)
+	rep := profstore.RegressPartials(parts[0], parts[1], opts)
 	if rep.BaseJobs == 0 || rep.HeadJobs == 0 {
 		fail(w, http.StatusNotFound, "base matched %d job(s), head %d", rep.BaseJobs, rep.HeadJobs)
 		return
@@ -577,13 +677,15 @@ func (c *Cluster) handleRegress(w http.ResponseWriter, r *http.Request) {
 
 func (c *Cluster) handleJobs(w http.ResponseWriter, r *http.Request) {
 	sel := r.URL.Query().Get("sel")
-	metas := c.cfg.Store.JobMetas(sel)
+	metas := c.localMetas(sel)
 	if len(c.peers) > 0 {
 		bodies, err := c.scatter("jobs", "/shard/jobs?sel="+queryEscape(sel))
 		if err != nil {
 			failUnavailable(w, "scatter failed: %v", err)
 			return
 		}
+		// On the partial path the members' lists are disjoint and the
+		// dedup never fires; the per-job path needs it for replicas.
 		seen := make(map[string]bool, len(metas))
 		for _, m := range metas {
 			seen[m.ID] = true

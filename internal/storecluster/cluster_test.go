@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -242,6 +243,32 @@ func startClusterWithTransportOn(t *testing.T, tc *testCluster, i, r int, transp
 	return cl.Handler()
 }
 
+// member returns the index of the member with base URL u.
+func (tc *testCluster) member(u string) int {
+	for i, v := range tc.urls {
+		if v == u {
+			return i
+		}
+	}
+	panic("no member " + u)
+}
+
+// unreachable returns a peer transport that refuses every request to
+// the given members.
+func (tc *testCluster) unreachable(t *testing.T, members ...int) http.RoundTripper {
+	t.Helper()
+	var faults []string
+	for _, m := range members {
+		faults = append(faults, fmt.Sprintf(`{"host":"%s","at":1,"kind":"unreachable","count":-1}`,
+			strings.TrimPrefix(tc.urls[m], "http://")))
+	}
+	plan, err := faultsim.ParsePeerPlan([]byte(`{"faults":[` + strings.Join(faults, ",") + `]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan.Wrap(nil)
+}
+
 func doReq(t *testing.T, h http.Handler, method, path string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(method, path, bytes.NewReader(body))
@@ -275,28 +302,36 @@ func TestClusterIngestIdempotent(t *testing.T) {
 	}
 }
 
-// TestClusterQuorum: with N=3 R=3, one dead owner still acks (2/3
-// quorum); two dead owners answer 503 with Retry-After; and strict
-// reads answer 503 while a member is unreachable.
+// TestClusterQuorum: with N=3 R=3, a dead primary still acks (2/3
+// quorum) and every healthy router then answers byte-identically to the
+// single-node reference — which needs the per-job read path, because the
+// primary missed the write; strict reads answer 503 while a member is
+// unreachable; and two dead owners answer 503 with Retry-After.
 func TestClusterQuorum(t *testing.T) {
-	docs, _ := corpusDocs(2)
+	docs, tags := corpusDocs(3)
 	tc := startCluster(t, 3, 3, nil)
+	primary := tc.member(tc.members[0].Ring().Primary(profstore.DeriveID(docs[0])))
+	router, other := (primary+1)%3, (primary+2)%3
+	postDoc(t, tc.urls[0], docs[1], tags[1])
 
-	// Fault plan: requests to member 1 always refused from now on.
-	host1 := strings.TrimPrefix(tc.urls[1], "http://")
-	plan, err := faultsim.ParsePeerPlan([]byte(fmt.Sprintf(
-		`{"faults":[{"host":"%s","at":1,"kind":"unreachable","count":-1}]}`, host1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rebuild member 0's router with the faulty transport; its listener
-	// stays as-is, we talk to the Cluster handler directly.
-	faulty := startClusterWithTransportOn(t, tc, 0, 3, plan.Wrap(nil))
-
-	// One dead owner of three: quorum 2 still reached.
-	resp := doReq(t, faulty, "POST", "/ingest", docs[0])
+	// The primary of docs[0] dead: quorum 2 of 3 still reached. The
+	// router is rebuilt over the faulty transport; the members' own
+	// listeners keep their healthy routers.
+	faulty := startClusterWithTransportOn(t, tc, router, 3, tc.unreachable(t, primary))
+	resp := doReq(t, faulty, "POST", "/ingest?tags="+tags[0], docs[0])
 	if resp.Code != 200 {
 		t.Fatalf("ingest with 1 dead owner: %d: %s", resp.Code, resp.Body.String())
+	}
+	if tc.stores[primary].Get(profstore.DeriveID(docs[0])) != nil {
+		t.Fatal("the unreachable primary holds the document")
+	}
+	want := referenceAnswers(t, docs[:2], tags[:2], clusterQueries)
+	for _, q := range clusterQueries {
+		for ri, u := range tc.urls {
+			if got := mustGet(t, u+q); got != want[q] {
+				t.Errorf("%s via router %d after an ack without the primary: differs from single-node reference\ngot:  %.200s\nwant: %.200s", q, ri, got, want[q])
+			}
+		}
 	}
 
 	// Reads must be strict: the scatter cannot verify completeness.
@@ -309,19 +344,101 @@ func TestClusterQuorum(t *testing.T) {
 	}
 
 	// Two dead owners: below quorum, 503 + Retry-After.
-	host2 := strings.TrimPrefix(tc.urls[2], "http://")
-	plan2, err := faultsim.ParsePeerPlan([]byte(fmt.Sprintf(
-		`{"faults":[{"host":"%s","at":1,"kind":"unreachable","count":-1},
-		            {"host":"%s","at":1,"kind":"unreachable","count":-1}]}`, host1, host2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty2 := startClusterWithTransportOn(t, tc, 0, 3, plan2.Wrap(nil))
-	resp = doReq(t, faulty2, "POST", "/ingest", docs[1])
+	faulty2 := startClusterWithTransportOn(t, tc, router, 3, tc.unreachable(t, primary, other))
+	resp = doReq(t, faulty2, "POST", "/ingest", docs[2])
 	if resp.Code != 503 {
 		t.Fatalf("ingest with 2 dead owners: %d, want 503: %s", resp.Code, resp.Body.String())
 	}
 	if resp.Header().Get("Retry-After") == "" {
 		t.Error("quorum failure 503 without Retry-After")
+	}
+}
+
+// TestClusterDivergedReplicaReads is the regression test for
+// router-dependent reads (N=3, R=2). A second document posted under an
+// existing id through the id's primary, with its secondary unreachable,
+// misses the quorum (503) and leaves the two replicas different. Every
+// router must still answer /agg, /regress and /jobs with the same bytes:
+// the reads take each job from its primary, not from whichever replica a
+// router happens to see first.
+func TestClusterDivergedReplicaReads(t *testing.T) {
+	docs, tags := corpusDocs(6)
+	tc := startCluster(t, 3, 2, nil)
+	for i := 2; i < len(docs); i++ {
+		postDoc(t, tc.urls[i%3], docs[i], tags[i])
+	}
+	const id = "diverged-job"
+	postDoc(t, tc.urls[0], docs[0], tags[0]+"&id="+id)
+
+	owners := tc.members[0].Ring().Owners(id, 2)
+	primary, secondary := tc.member(owners[0]), tc.member(owners[1])
+	faulty := startClusterWithTransportOn(t, tc, primary, 2, tc.unreachable(t, secondary))
+	resp := doReq(t, faulty, "POST", "/ingest?id="+id+"&tags="+tags[1], docs[1])
+	if resp.Code != 503 {
+		t.Fatalf("ingest with the secondary unreachable: %d, want 503: %s", resp.Code, resp.Body.String())
+	}
+	if a, b := tc.stores[primary].Get(id), tc.stores[secondary].Get(id); a == nil || b == nil || a.Bytes == b.Bytes {
+		t.Fatal("the failed write did not leave the two replicas different")
+	}
+
+	for _, q := range clusterQueries {
+		first := mustGet(t, tc.urls[0]+q)
+		for ri := 1; ri < len(tc.urls); ri++ {
+			if got := mustGet(t, tc.urls[ri]+q); got != first {
+				t.Errorf("%s: router %d answers differently from router 0\ngot:  %.200s\nwant: %.200s", q, ri, got, first)
+			}
+		}
+	}
+}
+
+// TestClusterConcurrentReads drives the memoized primary partials from
+// many goroutines at once while re-posts advance the members' epochs:
+// every read answers 200, and once writes stop every router matches the
+// single-node reference. Run under -race.
+func TestClusterConcurrentReads(t *testing.T) {
+	docs, tags := corpusDocs(8)
+	want := referenceAnswers(t, docs, tags, clusterQueries)
+	tc := startCluster(t, 3, 2, nil)
+	for i, doc := range docs {
+		postDoc(t, tc.urls[i%3], doc, tags[i])
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, doc := range docs {
+			resp, err := http.Post(tc.urls[(i+1)%3]+"/ingest?tags="+tags[i], "application/xml", bytes.NewReader(doc))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+		}
+	}()
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, q := range clusterQueries {
+				resp, err := http.Get(tc.urls[(g+i)%3] + q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("%s: %d", q, resp.StatusCode)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, q := range clusterQueries {
+		for ri, u := range tc.urls {
+			if got := mustGet(t, u+q); got != want[q] {
+				t.Errorf("%s via router %d differs from single-node reference after concurrent reads", q, ri)
+			}
+		}
 	}
 }

@@ -128,6 +128,9 @@ func (r *Ring) Owners(id string, replicas int) []string {
 	return owners
 }
 
+// Primary returns the first owner of id, the same member for every R.
+func (r *Ring) Primary(id string) string { return r.Owners(id, 1)[0] }
+
 // Owns reports whether member is one of the R owners of id.
 func (r *Ring) Owns(id, member string, replicas int) bool {
 	for _, o := range r.Owners(id, replicas) {
@@ -148,7 +151,7 @@ func (r *Ring) PlacementHash(ids []string) uint64 {
 	for _, id := range ids {
 		h.Write([]byte(id))
 		h.Write([]byte{0})
-		h.Write([]byte(r.Owners(id, 1)[0]))
+		h.Write([]byte(r.Primary(id)))
 		h.Write([]byte{0})
 	}
 	return h.Sum64()
