@@ -41,40 +41,40 @@ serve:
 	mkdir -p results
 	$(GO) run ./cmd/ipmserve -addr :8080 -wal results/profiles.wal
 
-# Hammer an in-process ipmserve with concurrent synthetic ingest+query
-# traffic and verify deterministic output (see ipmserve -selftest).
+# Hammer an ipmserve child with concurrent synthetic ingest+query
+# traffic and verify deterministic output: the store harness with no
+# kill cycles (see ipmserve -soak).
 serve-load:
-	$(GO) run ./cmd/ipmserve -selftest -selftest-jobs 200
+	$(GO) run ./cmd/ipmserve -soak -soak-jobs 200 -soak-workers 8 -soak-cycles 0
 
 # End-to-end over real HTTP, race-enabled: ingest the sample profile
-# from results/ and pin /agg to a golden, then the 120-job concurrent
-# load/recovery scenario.
+# from results/ and pin /agg to a golden, then the store harness with
+# in-process members under concurrent load (a single node recovering
+# from its WAL alone, and a 3-member R=2 cluster).
 serve-e2e:
 	$(GO) test -race -run ServeE2E .
 
-# Kill/restart durability soak: ipmserve re-execs itself as a child
-# server over a WAL, sustains concurrent ingest, SIGKILLs the child
-# mid-ingest N times, and gates on byte-identical /agg + /regress vs a
-# never-killed reference and zero lost acknowledged jobs. `soak-short`
-# is the bounded CI variant wired into `make verify`.
+# Kill/restart durability soak, one flag set for every fleet size:
+# ipmserve re-execs itself as -soak-members child servers, each over
+# its own WAL, sustains concurrent ingest through rotating routers,
+# SIGKILLs a rotating member mid-ingest -soak-cycles times, then
+# SIGTERMs and cold restarts the fleet. It gates, on the live fleet and
+# again after the restart, on zero lost acknowledged jobs and /agg +
+# /jobs + /regress byte-identical from EVERY member to a never-killed
+# single-node reference. `soak-short` (one node) and
+# `soak-cluster-short` (3 members, one kill cycle, well under 30s) are
+# the bounded CI variants wired into `make verify`.
 soak:
-	$(GO) run ./cmd/ipmserve -soak -soak-jobs 400 -soak-cycles 6 -soak-timeout 120s
+	$(GO) run ./cmd/ipmserve -soak -soak-members 1 -soak-jobs 400 -soak-cycles 6 -soak-timeout 120s
 
 soak-short:
-	$(GO) run ./cmd/ipmserve -soak -soak-jobs 80 -soak-cycles 3 -soak-timeout 30s
+	$(GO) run ./cmd/ipmserve -soak -soak-members 1 -soak-jobs 80 -soak-cycles 3 -soak-timeout 30s
 
-# Cluster kill/restart soak: N ipmserve members in cluster mode, each
-# over its own WAL, with rotating members SIGKILLed mid-ingest while
-# workers retry through the surviving routers. Gates on zero lost
-# acknowledged jobs and /agg + /jobs + /regress byte-identical from
-# EVERY member to a never-killed single-node reference.
-# `soak-cluster-short` is the bounded CI variant wired into `make
-# verify` (3 members, one kill cycle, well under 30s).
 soak-cluster:
-	$(GO) run ./cmd/ipmserve -soak-cluster -soak-members 3 -soak-replicas 2 -soak-jobs 240 -soak-cycles 4 -soak-timeout 120s
+	$(GO) run ./cmd/ipmserve -soak -soak-members 3 -soak-replicas 2 -soak-jobs 240 -soak-cycles 4 -soak-timeout 120s
 
 soak-cluster-short:
-	$(GO) run ./cmd/ipmserve -soak-cluster -soak-members 3 -soak-replicas 2 -soak-jobs 60 -soak-cycles 1 -soak-timeout 30s
+	$(GO) run ./cmd/ipmserve -soak -soak-members 3 -soak-replicas 2 -soak-jobs 60 -soak-cycles 1 -soak-timeout 30s
 
 # Short native-fuzz pass over both parser entry points (strict and
 # tolerant), the streaming-scanner differential, the framed-WAL replay

@@ -6,6 +6,7 @@
 // Usage:
 //
 //	ipmserve [-addr :8080] [-wal results/profstore.wal] [-compact-every N]
+//	ipmserve -soak [-soak-members N] [-soak-cycles N] [-soak-jobs N]
 //
 // Endpoints:
 //
@@ -34,12 +35,15 @@
 // quorum equals R (R ≤ 2), per-job rollups otherwise. Every member is a router; -self names this member's own
 // base URL within -peers.
 //
-// With -selftest the command runs the built-in load generator instead
-// of serving; with -soak it runs the kill/restart durability harness,
-// re-executing itself as the server child and repeatedly SIGKILLing it
-// mid-ingest; with -soak-cluster it does the same to a whole cluster,
-// SIGKILLing rotating members mid-ingest while workers retry through
-// the surviving routers. All exit non-zero on any violation.
+// With -soak the command runs the store harness instead of serving: it
+// re-executes itself as -soak-members child servers (one is a plain
+// single node, more form a cluster with -soak-replicas copies per job),
+// ingests a synthetic corpus through rotating routers, SIGKILLs a
+// rotating member mid-ingest -soak-cycles times, then SIGTERMs and cold
+// restarts the fleet. With -soak-cycles 0 it is a load self-test:
+// nothing is killed and readers query every member during ingest. It
+// exits non-zero on any lost acknowledged job, any query that differs
+// from a never-killed single-node reference, or an unclean shutdown.
 package main
 
 import (
@@ -68,40 +72,23 @@ func main() {
 	compactEvery := flag.Int("compact-every", 0, "snapshot+truncate the WAL after N appends (0 = only via POST /compact)")
 	snapOnExit := flag.Bool("snapshot-on-exit", false, "compact the WAL into a snapshot during graceful shutdown")
 	diskFaults := flag.String("disk-faults", "", "JSON disk-fault plan injected into the WAL write path (see testdata/faults/)")
-	selftest := flag.Bool("selftest", false, "run the load generator + determinism checks and exit")
 	withPprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling a live store)")
-	jobs := flag.Int("selftest-jobs", 120, "selftest: synthetic profiles to ingest")
-	workers := flag.Int("selftest-workers", 8, "selftest: concurrent ingest workers")
-	soak := flag.Bool("soak", false, "run the kill/restart soak harness and exit")
+	soak := flag.Bool("soak", false, "run the store harness (load, kill/restart, byte-identity gates) and exit")
+	soakMembers := flag.Int("soak-members", 1, "soak: fleet size (1 = a single-node store)")
+	soakReplicas := flag.Int("soak-replicas", 2, "soak: copies per job when -soak-members > 1")
 	soakJobs := flag.Int("soak-jobs", 200, "soak: synthetic profiles to ingest")
 	soakWorkers := flag.Int("soak-workers", 4, "soak: concurrent ingest workers")
-	soakCycles := flag.Int("soak-cycles", 3, "soak: SIGKILL/restart cycles")
+	soakCycles := flag.Int("soak-cycles", 3, "soak: SIGKILL/restart cycles (0 = a load self-test with concurrent readers)")
 	soakTimeout := flag.Duration("soak-timeout", 120*time.Second, "soak: wall-clock budget")
 	peersFlag := flag.String("peers", "", "comma-separated member base URLs; non-empty enables cluster mode")
 	selfFlag := flag.String("self", "", "this member's base URL within -peers (default http://<addr> when addr names a host)")
 	replicas := flag.Int("replicas", 2, "cluster: copies per job (acked at majority quorum)")
 	peerFaults := flag.String("peer-faults", "", "JSON peer-fault plan injected into the peer transport (see testdata/faults/)")
 	tracePath := flag.String("trace", "", "write a Chrome trace of cluster scatter/forward spans here on shutdown")
-	soakCluster := flag.Bool("soak-cluster", false, "run the cluster kill/restart soak harness and exit")
-	soakMembers := flag.Int("soak-members", 3, "soak-cluster: cluster size")
-	soakReplicas := flag.Int("soak-replicas", 2, "soak-cluster: copies per job")
 	flag.Parse()
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-
-	if *selftest {
-		rep, err := profstore.SelfTest(profstore.SelfTestOptions{
-			Jobs: *jobs, Workers: *workers, Logf: logf,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ipmserve: selftest FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("selftest ok: %d jobs, %d ranks, ingest %.1f MB/s end to end, %d concurrent queries, /agg %d bytes, WAL recovered %d records\n",
-			rep.Jobs, rep.Ranks, rep.IngestMBPerSec(), rep.Queries, rep.AggBytes, rep.WALRecovered)
-		return
 	}
 
 	if *soak {
@@ -110,38 +97,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ipmserve:", err)
 			os.Exit(1)
 		}
-		rep, err := profstore.Soak(profstore.SoakOptions{
-			ServerCmd: []string{exe},
-			Jobs:      *soakJobs, Workers: *soakWorkers, Cycles: *soakCycles,
-			CompactEvery: *compactEvery, Timeout: *soakTimeout, Logf: logf,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ipmserve: soak FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("soak ok: %d jobs acked (%d retried through kill windows), %d kills, %d restarts, /agg byte-identical (%d bytes), %v\n",
-			rep.Acked, rep.Retried, rep.Kills, rep.Restarts, rep.AggBytes, rep.Elapsed.Round(time.Millisecond))
-		return
-	}
-
-	if *soakCluster {
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ipmserve:", err)
-			os.Exit(1)
-		}
-		rep, err := storecluster.SoakCluster(storecluster.SoakClusterOptions{
+		rep, err := storecluster.Soak(storecluster.SoakOptions{
 			ServerCmd: []string{exe},
 			Members:   *soakMembers, Replicas: *soakReplicas,
 			Jobs: *soakJobs, Workers: *soakWorkers, Cycles: *soakCycles,
 			CompactEvery: *compactEvery, Timeout: *soakTimeout, Logf: logf,
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ipmserve: soak-cluster FAILED:", err)
+			fmt.Fprintln(os.Stderr, "ipmserve: soak FAILED:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("soak-cluster ok: %d members (R=%d), %d jobs acked (%d retried through kill windows), %d kills, %d restarts, queries byte-identical on all members (/agg %d bytes), %v\n",
-			rep.Members, rep.Replicas, rep.Acked, rep.Retried, rep.Kills, rep.Restarts, rep.AggBytes, rep.Elapsed.Round(time.Millisecond))
+		fmt.Printf("soak ok: %d member(s) (R=%d), %d jobs acked (%d retried through kill windows), %d kills, %d restarts, ingest %.1f MB/s end to end, %d concurrent queries, queries byte-identical on all members (/agg %d bytes), %v\n",
+			rep.Members, rep.Replicas, rep.Acked, rep.Retried, rep.Kills, rep.Restarts,
+			float64(rep.IngestBytes)/1e6/rep.IngestElapsed.Seconds(), rep.Queries, rep.AggBytes, rep.Elapsed.Round(time.Millisecond))
 		return
 	}
 

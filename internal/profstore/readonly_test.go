@@ -147,13 +147,13 @@ func TestServerReadOnlySurface(t *testing.T) {
 	} else {
 		resp.Body.Close()
 	}
-	if body, err := httpGet(ts.URL + "/metrics"); err != nil {
-		t.Error(err)
+	if code, body := get(t, ts.URL+"/metrics"); code != http.StatusOK {
+		t.Errorf("/metrics on degraded store: %d", code)
 	} else if !strings.Contains(string(body), MetricReadonly+" 1") {
 		t.Errorf("/metrics missing %s 1", MetricReadonly)
 	}
-	if _, err := httpGet(ts.URL + "/agg"); err != nil {
-		t.Errorf("reads must survive degradation: %v", err)
+	if code, body := get(t, ts.URL+"/agg"); code != http.StatusOK {
+		t.Errorf("reads must survive degradation: %d %s", code, body)
 	}
 }
 

@@ -2,11 +2,13 @@ package storecluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -22,38 +24,46 @@ import (
 	"ipmgo/internal/telemetry"
 )
 
-// This file is the cluster twin of the single-node kill/restart soak
-// (`ipmserve -soak`): it launches N real ipmserve children in cluster
-// mode over per-member WALs, sustains concurrent ingest through
-// rotating routers, and SIGKILLs a member mid-ingest each cycle —
-// restarting it and letting WAL recovery rebuild the shard — before a
-// final graceful SIGTERM of the whole fleet. The run is gated on the
-// cluster durability contract:
+// This file is the store harness behind `ipmserve -soak` and the serve
+// e2e tests. It stands up a fleet of N members, each over its own WAL
+// (one member is a plain single-node store, more form a cluster),
+// ingests a deterministic synthetic corpus from concurrent workers that
+// rotate routers, and either hammers the read endpoints meanwhile (no
+// kill cycles: a load self-test) or SIGKILLs rotating members mid-ingest
+// and restarts them. It is gated on the store's durability contract,
+// checked twice: on the live fleet once ingest ends, and again after a
+// graceful SIGTERM and cold restart of every member.
 //
-//   - zero lost acknowledged jobs: every profile any router acked with
-//     a 2xx is present in /jobs after the last recovery;
-//   - byte-identical queries from EVERY member: the recovered cluster
-//     answers /agg, /jobs and /regress exactly like a never-killed
-//     in-process single-node store over the same documents.
+//   - Zero lost acknowledged jobs: every document is present in /jobs
+//     from every member, and the count is exactly the corpus size.
+//   - Byte-identical queries: /agg, /jobs and /regress from every member
+//     equal a never-killed in-process single-node reference over the
+//     same documents.
 //
 // Quorum writes make the first gate honest: an ack means R/2+1 owners
-// persisted the document before the kill, so any single member's death
-// cannot lose it. Content-derived ids make the second gate exact even
-// for documents re-posted through a different router after a kill.
+// persisted the document, so one member's death cannot lose it.
+// Content-derived ids make the second gate exact even for documents
+// re-posted through another router after a kill.
 
-// SoakClusterOptions sizes a cluster kill/restart soak run.
-type SoakClusterOptions struct {
-	// ServerCmd is the argv of the child server; the harness appends
-	// -addr, -wal, -peers, -self and -replicas. Typically the running
-	// ipmserve binary itself (os.Executable).
+// SoakOptions sizes one harness run.
+type SoakOptions struct {
+	// ServerCmd is the argv of a child ipmserve; the harness appends
+	// -addr, -wal and -compact-every, -snapshot-on-exit when
+	// CompactEvery > 0, and -peers, -self and -replicas when Members > 1.
+	// Empty runs every member in process, which cannot be SIGKILLed, so
+	// Cycles must then be 0.
 	ServerCmd []string
-	Members   int // cluster size (default 3)
-	Replicas  int // copies per job (default 2)
+	Members   int // fleet size (default 1)
+	Replicas  int // copies per job when Members > 1 (default 2)
 	Jobs      int // synthetic profiles to ingest (default 120)
 	Workers   int // concurrent ingest workers (default 4)
-	Cycles    int // SIGKILL/restart cycles (default 3)
-	// CompactEvery is forwarded to the children so snapshots and WAL
-	// truncation happen under fire (default 32 appends; -1 disables).
+	// Cycles is the number of SIGKILL/restart cycles. 0 means no kills:
+	// readers query every member during ingest, and any failed post or
+	// read is an error.
+	Cycles int
+	// CompactEvery is the members' snapshot cadence in appends (default
+	// 32). A member snapshots on graceful exit exactly when it is > 0; -1
+	// makes every recovery replay WAL records alone.
 	CompactEvery int
 	Timeout      time.Duration // wall-clock budget (default 120s)
 	Seed         uint64        // corpus seed (default 2011)
@@ -61,85 +71,180 @@ type SoakClusterOptions struct {
 	Logf         func(format string, args ...any)
 }
 
-// SoakClusterReport summarises a cluster soak run.
-type SoakClusterReport struct {
-	Members  int
-	Replicas int
-	Jobs     int
-	Kills    int
-	Restarts int
-	Acked    int   // jobs acknowledged with a 2xx by some router
-	Retried  int64 // posts that needed more than one round
-	AggBytes int   // size of the (verified identical) /agg body
-	Elapsed  time.Duration
+// SoakReport summarises a harness run.
+type SoakReport struct {
+	Members       int
+	Replicas      int
+	Acked         int   // jobs acknowledged with a 2xx by some router
+	Retried       int64 // posts that needed more than one round
+	Kills         int
+	Restarts      int
+	Queries       int64 // reads served during ingest
+	IngestBytes   int64 // XML bytes acknowledged through /ingest
+	IngestElapsed time.Duration
+	AggBytes      int // size of the (verified identical) /agg body
+	Elapsed       time.Duration
 }
 
-// clusterChild is one managed ipmserve cluster member subprocess.
-type clusterChild struct {
-	argv []string // full child argv including cluster flags
-	addr string
-	cmd  *exec.Cmd
+const (
+	// readers is the number of query workers during a run without
+	// kills; a killed member makes strict reads answer 503 by design.
+	readers = 4
+	// requestTimeout bounds one post attempt on a member that has
+	// stopped answering; every GET is also cut off at the run deadline.
+	requestTimeout = 10 * time.Second
+)
+
+// gateQueries are the reads the second gate compares byte for byte.
+var gateQueries = []string{
+	"/agg?sel=tag:soak",
+	"/jobs",
+	"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
 }
 
-func (c *clusterChild) start() error {
-	cmd := exec.Command(c.argv[0], c.argv[1:]...)
-	cmd.Stdout = os.Stderr
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("soak-cluster: starting member %s: %w", c.addr, err)
+// member is one fleet member on a reserved address over its own WAL.
+// The child-process launcher runs serverCmd as an ipmserve; the
+// in-process launcher (no serverCmd) serves profstore.OpenStore +
+// NewServer on the same address. Either joins a cluster router when
+// peers names more than one member.
+type member struct {
+	addr, url, wal string
+	serverCmd      []string
+	peers          []string // every member's base URL, this one included
+	replicas       int
+	compactEvery   int
+
+	cmd    *exec.Cmd // running child
+	store  *profstore.Store
+	srv    *profstore.Server
+	hs     *http.Server
+	served chan struct{} // closed when hs.Serve returns
+}
+
+func (m *member) start() error {
+	if len(m.serverCmd) > 0 {
+		args := append(append([]string{}, m.serverCmd[1:]...),
+			"-addr", m.addr, "-wal", m.wal, "-compact-every", fmt.Sprint(m.compactEvery))
+		if m.compactEvery > 0 {
+			args = append(args, "-snapshot-on-exit")
+		}
+		if len(m.peers) > 1 {
+			args = append(args, "-peers", strings.Join(m.peers, ","), "-self", m.url,
+				"-replicas", fmt.Sprint(m.replicas))
+		}
+		cmd := exec.Command(m.serverCmd[0], args...)
+		cmd.Stdout = os.Stderr
+		cmd.Stderr = os.Stderr
+		if err := cmd.Start(); err != nil {
+			return fmt.Errorf("soak: starting member %s: %w", m.addr, err)
+		}
+		m.cmd = cmd
+		return nil
 	}
-	c.cmd = cmd
+	store, _, err := profstore.OpenStore(m.wal, profstore.StoreOptions{CompactEvery: m.compactEvery})
+	if err != nil {
+		return fmt.Errorf("soak: opening member %s: %w", m.addr, err)
+	}
+	reg := telemetry.NewRegistry()
+	srv := profstore.NewServer(store, reg)
+	handler := srv.Handler()
+	if len(m.peers) > 1 {
+		cl, err := New(Config{Self: m.url, Members: m.peers, Replicas: m.replicas,
+			Store: store, Local: handler, Registry: reg})
+		if err != nil {
+			store.Close()
+			return err
+		}
+		handler = cl.Handler()
+	}
+	ln, err := net.Listen("tcp", m.addr)
+	if err != nil {
+		store.Close()
+		return fmt.Errorf("soak: member %s: %w", m.addr, err)
+	}
+	m.store, m.srv, m.hs = store, srv, &http.Server{Handler: handler}
+	m.served = make(chan struct{})
+	go func(hs *http.Server, served chan struct{}) {
+		defer close(served)
+		hs.Serve(ln)
+	}(m.hs, m.served)
 	return nil
 }
 
-// waitReady polls /readyz until the member accepts writes.
-func (c *clusterChild) waitReady(deadline time.Time) error {
-	url := "http://" + c.addr + "/readyz"
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url)
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
+// kill SIGKILLs a running child member — the crash being simulated —
+// and reaps it; a running in-process member is closed without a
+// snapshot (cleanup only). A stopped member is left alone.
+func (m *member) kill() {
+	if m.cmd != nil {
+		m.cmd.Process.Kill()
+		m.cmd.Wait()
+		m.cmd = nil
+		return
+	}
+	if m.hs != nil {
+		m.hs.Close()
+		<-m.served
+		m.store.Close()
+		m.hs = nil
+	}
+}
+
+// terminate shuts a member down gracefully and requires a clean exit: a
+// child must exit with status 0 after SIGTERM; an in-process member
+// drains, snapshots when compactEvery > 0 and closes its WAL, the same
+// steps ipmserve takes on SIGTERM.
+func (m *member) terminate(ctx context.Context) error {
+	if m.cmd == nil {
+		m.srv.SetDraining(true)
+		err := m.hs.Shutdown(ctx)
+		<-m.served
+		if err == nil && m.compactEvery > 0 {
+			_, err = m.store.Snapshot()
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return fmt.Errorf("soak-cluster: member %s not ready before deadline", c.addr)
-}
-
-// kill SIGKILLs the member — the crash being simulated — and reaps it.
-func (c *clusterChild) kill() {
-	c.cmd.Process.Kill()
-	c.cmd.Wait()
-	c.cmd = nil
-}
-
-// terminate sends SIGTERM and requires a clean exit.
-func (c *clusterChild) terminate(deadline time.Time) error {
-	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("soak-cluster: SIGTERM %s: %w", c.addr, err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- c.cmd.Wait() }()
-	select {
-	case err := <-done:
-		c.cmd = nil
+		if cerr := m.store.Close(); err == nil {
+			err = cerr
+		}
+		m.hs = nil
 		if err != nil {
-			return fmt.Errorf("soak-cluster: member %s exited uncleanly after SIGTERM: %w", c.addr, err)
+			return fmt.Errorf("soak: member %s did not shut down cleanly: %w", m.addr, err)
 		}
 		return nil
-	case <-time.After(time.Until(deadline)):
-		c.cmd.Process.Kill()
+	}
+	if err := m.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return fmt.Errorf("soak: SIGTERM %s: %w", m.addr, err)
+	}
+	done := make(chan error, 1)
+	go func(cmd *exec.Cmd) { done <- cmd.Wait() }(m.cmd)
+	select {
+	case err := <-done:
+		m.cmd = nil
+		if err != nil {
+			return fmt.Errorf("soak: member %s exited uncleanly after SIGTERM: %w", m.addr, err)
+		}
+		return nil
+	case <-ctx.Done():
+		m.cmd.Process.Kill()
 		<-done
-		c.cmd = nil
-		return fmt.Errorf("soak-cluster: member %s did not exit within deadline after SIGTERM", c.addr)
+		m.cmd = nil
+		return fmt.Errorf("soak: member %s did not exit within deadline after SIGTERM", m.addr)
 	}
 }
 
-// soakGet fetches one URL body, demanding a 200.
-func soakGet(url string) ([]byte, error) {
-	resp, err := http.Get(url)
+// fleet is the harness's view of the members: the run deadline and the
+// one HTTP client every harness request goes through.
+type fleet struct {
+	ctx     context.Context // done at the run deadline
+	client  *http.Client
+	members []*member
+}
+
+// get fetches one URL body within the run deadline, demanding a 200.
+func (f *fleet) get(url string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(f.ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := f.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -149,35 +254,142 @@ func soakGet(url string) ([]byte, error) {
 		return nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, strings.TrimSpace(string(body)))
+		return nil, fmt.Errorf("GET %s: %d: %s", url, resp.StatusCode, bytes.TrimSpace(body))
 	}
 	return body, nil
 }
 
-// SoakCluster runs the cluster kill/restart soak. Any lost acknowledged
-// job, query divergence from the single-node reference on any member,
-// or unclean shutdown is an error.
-func SoakCluster(opts SoakClusterOptions) (*SoakClusterReport, error) {
-	if len(opts.ServerCmd) == 0 {
-		return nil, fmt.Errorf("soak-cluster: ServerCmd is required")
+// waitReady polls /readyz until the member accepts writes.
+func (f *fleet) waitReady(m *member) error {
+	for {
+		if _, err := f.get(m.url + "/readyz"); err == nil {
+			return nil
+		}
+		select {
+		case <-f.ctx.Done():
+			return fmt.Errorf("soak: member %s not ready before deadline", m.addr)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+}
+
+// startAll launches every member, then waits until all accept writes.
+func (f *fleet) startAll() error {
+	for _, m := range f.members {
+		if err := m.start(); err != nil {
+			return err
+		}
+	}
+	for _, m := range f.members {
+		if err := f.waitReady(m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gate checks both acceptance properties through every member: every
+// document is present in /jobs and nothing else is, and every gate
+// query answers exactly want.
+func (f *fleet) gate(docs []doc, want map[string][]byte) error {
+	for i, m := range f.members {
+		body, err := f.get(m.url + "/jobs")
+		if err != nil {
+			return fmt.Errorf("soak: member %d: %w", i, err)
+		}
+		var metas []profstore.JobMeta
+		if err := json.Unmarshal(body, &metas); err != nil {
+			return fmt.Errorf("soak: decoding /jobs from member %d: %w", i, err)
+		}
+		present := make(map[string]bool, len(metas))
+		for _, meta := range metas {
+			present[meta.ID] = true
+		}
+		lost := 0
+		for _, d := range docs {
+			if !present[d.id] {
+				lost++
+			}
+		}
+		if lost > 0 {
+			return fmt.Errorf("soak: member %d: %d acknowledged job(s) lost", i, lost)
+		}
+		if len(metas) != len(docs) {
+			return fmt.Errorf("soak: member %d sees %d jobs, want %d", i, len(metas), len(docs))
+		}
+	}
+	for _, q := range gateQueries {
+		for i, m := range f.members {
+			got, err := f.get(m.url + q)
+			if err != nil {
+				return fmt.Errorf("soak: member %d: %w", i, err)
+			}
+			if !bytes.Equal(got, want[q]) {
+				return fmt.Errorf("soak: %s from member %d differs from the never-killed reference (%d vs %d bytes)", q, i, len(got), len(want[q]))
+			}
+		}
+	}
+	return nil
+}
+
+// doc is one rendered corpus document.
+type doc struct {
+	xml  []byte
+	id   string
+	tags []string
+}
+
+// renderCorpus renders n synthetic jobs once, so the same bytes go to the
+// fleet and to an in-process single-node reference that is never
+// killed, and returns that reference's answer to every gate query.
+func renderCorpus(seed uint64, n int) ([]doc, map[string][]byte, error) {
+	docs := make([]doc, n)
+	ref := profstore.New()
+	for i := range docs {
+		var buf bytes.Buffer
+		if err := ipm.WriteXML(&buf, profstore.SyntheticProfile(seed, i)); err != nil {
+			return nil, nil, fmt.Errorf("soak: encoding job %d: %w", i, err)
+		}
+		docs[i] = doc{xml: buf.Bytes(), id: profstore.DeriveID(buf.Bytes()), tags: []string{"soak", fmt.Sprintf("batch:%d", i%2)}}
+		if _, err := ref.Ingest(docs[i].xml, docs[i].id, docs[i].tags); err != nil {
+			return nil, nil, fmt.Errorf("soak: reference ingest %d: %w", i, err)
+		}
+	}
+	handler := profstore.NewServer(ref, telemetry.NewRegistry()).Handler()
+	want := make(map[string][]byte, len(gateQueries))
+	for _, q := range gateQueries {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, q, nil))
+		if rec.Code != http.StatusOK {
+			return nil, nil, fmt.Errorf("soak: reference %s: %d", q, rec.Code)
+		}
+		want[q] = rec.Body.Bytes()
+	}
+	return docs, want, nil
+}
+
+// Soak runs the store harness. Any failed post or read during a run
+// without kills, lost acknowledged job, query divergence from the
+// single-node reference on any member, or unclean shutdown is an error.
+func Soak(opts SoakOptions) (*SoakReport, error) {
+	if opts.Cycles < 0 {
+		return nil, fmt.Errorf("soak: Cycles %d < 0", opts.Cycles)
+	}
+	if opts.Cycles > 0 && len(opts.ServerCmd) == 0 {
+		return nil, fmt.Errorf("soak: kill cycles need a child ServerCmd; in-process members cannot be SIGKILLed")
 	}
 	if opts.Members <= 0 {
-		opts.Members = 3
+		opts.Members = 1
 	}
 	if opts.Replicas <= 0 {
 		opts.Replicas = 2
 	}
-	if opts.Replicas > opts.Members {
-		opts.Replicas = opts.Members
-	}
+	opts.Replicas = min(opts.Replicas, opts.Members)
 	if opts.Jobs <= 0 {
 		opts.Jobs = 120
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 4
-	}
-	if opts.Cycles <= 0 {
-		opts.Cycles = 3
 	}
 	if opts.CompactEvery == 0 {
 		opts.CompactEvery = 32
@@ -202,161 +414,155 @@ func SoakCluster(opts SoakClusterOptions) (*SoakClusterReport, error) {
 		defer os.RemoveAll(dir)
 	}
 	start := time.Now()
-	deadline := start.Add(opts.Timeout)
-	rep := &SoakClusterReport{Members: opts.Members, Replicas: opts.Replicas, Jobs: opts.Jobs}
+	ctx, cancel := context.WithTimeout(context.Background(), opts.Timeout)
+	defer cancel()
+	f := &fleet{ctx: ctx, client: &http.Client{Timeout: min(requestTimeout, opts.Timeout)}}
+	rep := &SoakReport{Members: opts.Members, Replicas: opts.Replicas}
+
+	docs, want, err := renderCorpus(opts.Seed, opts.Jobs)
+	if err != nil {
+		return rep, err
+	}
+	rep.AggBytes = len(want[gateQueries[0]])
 
 	// Reserve one port per member by binding and releasing it; Go
 	// listeners set SO_REUSEADDR, so the rebinds race nothing but our
-	// own dead children.
-	addrs := make([]string, opts.Members)
+	// own dead members. Restarts reuse the same address and WAL, so
+	// recovery replays each member's snapshot + WAL into the same ring
+	// position.
 	urls := make([]string, opts.Members)
-	for i := range addrs {
+	for i := range urls {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return rep, err
 		}
-		addrs[i] = ln.Addr().String()
-		urls[i] = "http://" + addrs[i]
+		urls[i] = "http://" + ln.Addr().String()
 		ln.Close()
 	}
-	peers := strings.Join(urls, ",")
-
-	// Render the corpus once: the same bytes go to the cluster and the
-	// in-process single-node reference store.
-	type doc struct {
-		xml  []byte
-		id   string
-		tags []string
-	}
-	docs := make([]doc, opts.Jobs)
-	ref := profstore.New()
-	for i := range docs {
-		var buf bytes.Buffer
-		if err := ipm.WriteXML(&buf, profstore.SyntheticProfile(opts.Seed, i)); err != nil {
-			return rep, fmt.Errorf("soak-cluster: encoding job %d: %w", i, err)
-		}
-		xml := append([]byte(nil), buf.Bytes()...)
-		d := doc{xml: xml, id: profstore.DeriveID(xml), tags: []string{"soak", fmt.Sprintf("batch:%d", i%2)}}
-		docs[i] = d
-		if _, err := ref.Ingest(d.xml, d.id, d.tags); err != nil {
-			return rep, fmt.Errorf("soak-cluster: reference ingest %d: %w", i, err)
-		}
-	}
-
-	// Launch the fleet. Every member gets the full membership and its
-	// own WAL; restarts reuse the same argv so recovery replays the
-	// member's snapshot + WAL into the same ring position.
-	children := make([]*clusterChild, opts.Members)
-	for i := range children {
-		argv := append(append([]string{}, opts.ServerCmd...),
-			"-addr", addrs[i],
-			"-wal", filepath.Join(dir, fmt.Sprintf("member%d.wal", i)),
-			"-peers", peers,
-			"-self", urls[i],
-			"-replicas", fmt.Sprint(opts.Replicas),
-			"-compact-every", fmt.Sprint(opts.CompactEvery),
-			"-snapshot-on-exit")
-		children[i] = &clusterChild{argv: argv, addr: addrs[i]}
+	for i, u := range urls {
+		f.members = append(f.members, &member{
+			addr: strings.TrimPrefix(u, "http://"), url: u,
+			wal:       filepath.Join(dir, fmt.Sprintf("member%d.wal", i)),
+			serverCmd: opts.ServerCmd, peers: urls,
+			replicas: opts.Replicas, compactEvery: opts.CompactEvery,
+		})
 	}
 	defer func() {
-		for _, c := range children {
-			if c.cmd != nil {
-				c.kill()
-			}
+		for _, m := range f.members {
+			m.kill()
 		}
 	}()
-	for _, c := range children {
-		if err := c.start(); err != nil {
-			return rep, err
-		}
+	if err := f.startAll(); err != nil {
+		return rep, err
 	}
-	for _, c := range children {
-		if err := c.waitReady(deadline); err != nil {
-			return rep, err
-		}
-	}
-	logf("soak-cluster: %d member(s) on %s (replicas=%d), %d jobs, %d workers, %d kill cycles",
-		opts.Members, peers, opts.Replicas, opts.Jobs, opts.Workers, opts.Cycles)
+	logf("soak: %d member(s) on %s (replicas=%d), %d jobs, %d workers, %d kill cycles",
+		opts.Members, strings.Join(urls, ","), opts.Replicas, opts.Jobs, opts.Workers, opts.Cycles)
 
-	// Ingest workers: each owns a shard of the corpus and retries every
-	// document until some router acks it, rotating the router per round
-	// so a dead member never wedges a worker. Acked ids are recorded
-	// only on a 2xx: the zero-loss gate below is exactly "acked implies
-	// present after recovery".
-	var (
-		acked   atomic.Int64
-		retried atomic.Int64
-		ackMu   sync.Mutex
-		ackedID = make(map[string]bool, opts.Jobs)
-	)
-	errc := make(chan error, opts.Workers+1)
-	var workers sync.WaitGroup
+	// Each goroutine below sends at most one error.
+	errc := make(chan error, opts.Workers+readers+1)
+	var acked, retried, ingestBytes, queries atomic.Int64
+	var writers, readersWG sync.WaitGroup
+	ingestStart := time.Now()
+
+	// Ingest workers: each owns a strided shard of the corpus and rotates
+	// the router per round, so a dead member never wedges a worker. With
+	// kill cycles a document is retried until some router acks it;
+	// without, every member is up and a post that exhausts its Poster
+	// attempts is a failure.
 	for w := 0; w < opts.Workers; w++ {
-		workers.Add(1)
-		go func(w int) {
-			defer workers.Done()
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
 			posters := make([]*profstore.Poster, opts.Members)
-			for m := range posters {
-				posters[m] = &profstore.Poster{
-					URL: urls[m],
+			for i := range posters {
+				posters[i] = &profstore.Poster{
+					URL: urls[i],
 					Policy: faultsim.RetryPolicy{
 						MaxAttempts: 2,
 						Backoff:     faultsim.Dur(10 * time.Millisecond),
 						MaxBackoff:  faultsim.Dur(100 * time.Millisecond),
 					},
-					Client: &http.Client{Timeout: 5 * time.Second},
+					Client: f.client,
 				}
 			}
 			for i := w; i < len(docs); i += opts.Workers {
 				d := docs[i]
-				rounds := 0
-				for {
-					if time.Now().After(deadline) {
-						errc <- fmt.Errorf("soak-cluster: deadline while ingesting job %d", i)
-						return
-					}
-					_, err := posters[(i+rounds)%opts.Members].PostXML(d.xml, d.id, d.tags)
+				for round := 0; ; round++ {
+					_, err := posters[(i+round)%opts.Members].PostXML(d.xml, d.id, d.tags)
 					if err == nil {
+						if round > 0 {
+							retried.Add(1)
+						}
 						break
 					}
-					rounds++
-					time.Sleep(25 * time.Millisecond) // a member is restarting
+					if opts.Cycles == 0 {
+						errc <- fmt.Errorf("soak: ingest job %d: %w", i, err)
+						return
+					}
+					select {
+					case <-ctx.Done():
+						errc <- fmt.Errorf("soak: deadline while ingesting job %d: %w", i, err)
+						return
+					case <-time.After(25 * time.Millisecond): // a member is restarting
+					}
 				}
-				if rounds > 0 {
-					retried.Add(1)
-				}
-				ackMu.Lock()
-				ackedID[d.id] = true
-				ackMu.Unlock()
 				acked.Add(1)
+				ingestBytes.Add(int64(len(d.xml)))
 			}
-		}(w)
+		}()
 	}
 
-	// Killer: SIGKILL a rotating victim each time the ack stream
-	// crosses the next threshold — evenly spaced so every cycle lands
-	// mid-ingest — then restart it and let recovery replay its WAL.
+	// Readers: without kills, hammer every member's read endpoints
+	// while the corpus grows.
+	ingested := make(chan struct{})
+	if opts.Cycles == 0 {
+		for q := 0; q < readers; q++ {
+			readersWG.Add(1)
+			go func() {
+				defer readersWG.Done()
+				paths := []string{"/agg", "/jobs", "/agg?format=html", "/metrics"}
+				for i := 0; ; i++ {
+					select {
+					case <-ingested:
+						return
+					default:
+					}
+					if _, err := f.get(urls[(q+i)%opts.Members] + paths[i%len(paths)]); err != nil {
+						errc <- fmt.Errorf("soak: query during ingest: %w", err)
+						return
+					}
+					queries.Add(1)
+				}
+			}()
+		}
+	}
+
+	// Killer: SIGKILL a rotating victim each time the ack stream crosses
+	// the next threshold — evenly spaced so every cycle lands mid-ingest
+	// — then restart it and let recovery replay its snapshot + WAL.
 	killerDone := make(chan struct{})
 	go func() {
 		defer close(killerDone)
 		for c := 1; c <= opts.Cycles; c++ {
 			threshold := int64(c * opts.Jobs / (opts.Cycles + 1))
 			for acked.Load() < threshold {
-				if time.Now().After(deadline) {
-					errc <- fmt.Errorf("soak-cluster: deadline waiting for kill threshold %d", threshold)
+				select {
+				case <-ctx.Done():
+					errc <- fmt.Errorf("soak: deadline waiting for kill threshold %d", threshold)
 					return
+				case <-time.After(5 * time.Millisecond):
 				}
-				time.Sleep(5 * time.Millisecond)
 			}
-			victim := (c - 1) % opts.Members
-			logf("soak-cluster: cycle %d/%d: SIGKILL member %d at %d acked job(s)", c, opts.Cycles, victim, acked.Load())
-			children[victim].kill()
+			v := (c - 1) % opts.Members
+			victim := f.members[v]
+			logf("soak: cycle %d/%d: SIGKILL member %d at %d acked job(s)", c, opts.Cycles, v, acked.Load())
+			victim.kill()
 			rep.Kills++
-			if err := children[victim].start(); err != nil {
+			if err := victim.start(); err != nil {
 				errc <- err
 				return
 			}
-			if err := children[victim].waitReady(deadline); err != nil {
+			if err := f.waitReady(victim); err != nil {
 				errc <- err
 				return
 			}
@@ -364,107 +570,46 @@ func SoakCluster(opts SoakClusterOptions) (*SoakClusterReport, error) {
 		}
 	}()
 
-	workers.Wait()
+	writers.Wait()
+	rep.IngestElapsed = time.Since(ingestStart)
+	close(ingested)
+	readersWG.Wait()
 	<-killerDone
 	rep.Acked = int(acked.Load())
 	rep.Retried = retried.Load()
+	rep.Queries = queries.Load()
+	rep.IngestBytes = ingestBytes.Load()
 	select {
 	case err := <-errc:
 		return rep, err
 	default:
 	}
 
-	// Graceful exit of the whole fleet under SIGTERM, then one more
-	// cold recovery of every member: the verified corpus below has
-	// survived both crash and clean shutdown on every shard.
-	for _, c := range children {
-		if err := c.terminate(deadline); err != nil {
-			return rep, err
-		}
-	}
-	for _, c := range children {
-		if err := c.start(); err != nil {
-			return rep, err
-		}
-	}
-	for _, c := range children {
-		if err := c.waitReady(deadline); err != nil {
-			return rep, err
-		}
-	}
-	rep.Restarts += opts.Members
-
-	// Gate 1: zero lost acknowledged jobs, asked through every router
-	// (scatter-gather reads are strict, so a 200 also proves every
-	// member answered).
-	for m, u := range urls {
-		jobsBody, err := soakGet(u + "/jobs")
-		if err != nil {
-			return rep, fmt.Errorf("soak-cluster: member %d: %w", m, err)
-		}
-		var metas []profstore.JobMeta
-		if err := json.Unmarshal(jobsBody, &metas); err != nil {
-			return rep, fmt.Errorf("soak-cluster: decoding /jobs from member %d: %w", m, err)
-		}
-		present := make(map[string]bool, len(metas))
-		for _, meta := range metas {
-			present[meta.ID] = true
-		}
-		lost := 0
-		for id := range ackedID {
-			if !present[id] {
-				lost++
-			}
-		}
-		if lost > 0 {
-			return rep, fmt.Errorf("soak-cluster: member %d: %d acknowledged job(s) lost across %d kill(s)", m, lost, rep.Kills)
-		}
-		if len(metas) != opts.Jobs {
-			return rep, fmt.Errorf("soak-cluster: member %d sees %d jobs, want %d", m, len(metas), opts.Jobs)
-		}
-	}
-
-	// Gate 2: byte-identical queries from every member versus the
-	// never-killed single-node reference.
-	refSrv := profstore.NewServer(ref, telemetry.NewRegistry())
-	refLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
+	// Gate the live fleet, then shut every member down gracefully, cold
+	// restart them all and gate again: the corpus has survived crash,
+	// clean shutdown and recovery on every member.
+	if err := f.gate(docs, want); err != nil {
 		return rep, err
 	}
-	refHS := &http.Server{Handler: refSrv.Handler()}
-	go refHS.Serve(refLn)
-	defer refHS.Close()
-	refBase := "http://" + refLn.Addr().String()
-	for _, q := range []string{
-		"/agg?sel=tag:soak",
-		"/jobs",
-		"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
-	} {
-		want, err := soakGet(refBase + q)
-		if err != nil {
+	for _, m := range f.members {
+		if err := m.terminate(ctx); err != nil {
 			return rep, err
 		}
-		for m, u := range urls {
-			got, err := soakGet(u + q)
-			if err != nil {
-				return rep, fmt.Errorf("soak-cluster: member %d: %w", m, err)
-			}
-			if !bytes.Equal(got, want) {
-				return rep, fmt.Errorf("soak-cluster: %s from member %d differs from the never-killed reference (%d vs %d bytes)", q, m, len(got), len(want))
-			}
-		}
-		if strings.HasPrefix(q, "/agg") && rep.AggBytes == 0 {
-			rep.AggBytes = len(want)
-		}
 	}
-
-	for _, c := range children {
-		if err := c.terminate(deadline); err != nil {
+	if err := f.startAll(); err != nil {
+		return rep, err
+	}
+	rep.Restarts += opts.Members
+	if err := f.gate(docs, want); err != nil {
+		return rep, fmt.Errorf("%w (after cold restart)", err)
+	}
+	for _, m := range f.members {
+		if err := m.terminate(ctx); err != nil {
 			return rep, err
 		}
 	}
 	rep.Elapsed = time.Since(start)
-	logf("soak-cluster: ok — %d jobs acked (%d retried through kill windows), %d kills, %d restarts, queries byte-identical on all %d members, in %v",
-		rep.Acked, rep.Retried, rep.Kills, rep.Restarts, opts.Members, rep.Elapsed.Round(time.Millisecond))
+	logf("soak: ok — %d jobs acked (%d retried through kill windows), %d kills, %d restarts, %d concurrent queries, queries byte-identical on all %d member(s), in %v",
+		rep.Acked, rep.Retried, rep.Kills, rep.Restarts, rep.Queries, opts.Members, rep.Elapsed.Round(time.Millisecond))
 	return rep, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"ipmgo/internal/parallel"
 	"ipmgo/internal/profstore"
+	"ipmgo/internal/storecluster"
 	"ipmgo/internal/telemetry"
 )
 
@@ -20,9 +21,10 @@ var updateServeGolden = flag.Bool("update", false, "rewrite serve e2e golden fil
 
 // The serve e2e scenarios back the `make serve-e2e` target: a real
 // ipmserve HTTP surface fed the sample profile from results/ with the
-// /agg rollup pinned to a golden, plus the concurrent load generator
-// that proves race-clean ingest+query and byte-identical output across
-// WAL recovery. Run them with -race; `make verify` does.
+// /agg rollup pinned to a golden, plus the store harness under
+// concurrent load, which proves race-clean ingest+query and
+// byte-identical output across WAL recovery. Run them with -race;
+// `make verify` does.
 
 // serveOn stands up srv.Handler() on a loopback listener and returns the
 // base URL. httptest would do, but using net.Listen + http.Serve keeps
@@ -170,23 +172,40 @@ func TestServeE2EAggDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestServeE2EConcurrentLoad is the acceptance-scale load test: 120
-// synthetic jobs ingested over HTTP by 8 concurrent workers while 4
-// readers hammer /agg, /jobs and /metrics, then a WAL kill/recover with
-// byte-identity checks on /agg and /regress. Under -race (make
-// serve-e2e) this is also the data-race proof for the store.
+// TestServeE2EConcurrentLoad is the acceptance-scale load test, run on
+// the store harness with in-process members and no kill cycles:
+// concurrent workers ingest synthetic jobs over HTTP while 4 readers
+// hammer /agg, /jobs and /metrics on every member, then /agg, /jobs and
+// /regress must match a single-node reference byte for byte on the live
+// fleet and again after a graceful shutdown and cold restart. Under
+// -race (make serve-e2e) this is also the data-race proof for the store
+// and, in the 3-member row, for router ingest and scatter reads.
 func TestServeE2EConcurrentLoad(t *testing.T) {
-	rep, err := profstore.SelfTest(profstore.SelfTestOptions{
-		Dir:  t.TempDir(),
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Jobs < 100 {
-		t.Errorf("selftest ingested %d jobs, want >= 100", rep.Jobs)
-	}
-	if rep.WALRecovered != rep.Jobs {
-		t.Errorf("WAL recovered %d of %d jobs", rep.WALRecovered, rep.Jobs)
+	for _, tc := range []struct {
+		name string
+		opts storecluster.SoakOptions
+	}{
+		// One node; no snapshots, so the cold restart recovers every job
+		// from WAL records alone.
+		{"single", storecluster.SoakOptions{Members: 1, CompactEvery: -1, Jobs: 120, Workers: 8}},
+		{"cluster", storecluster.SoakOptions{Members: 3, Replicas: 2, Jobs: 60, Workers: 8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := tc.opts
+			opts.Dir, opts.Logf = t.TempDir(), t.Logf
+			rep, err := storecluster.Soak(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Acked != opts.Jobs {
+				t.Errorf("acked %d jobs, want %d", rep.Acked, opts.Jobs)
+			}
+			if rep.Queries == 0 {
+				t.Error("no query was served during ingest")
+			}
+			if rep.Restarts != opts.Members {
+				t.Errorf("%d restarts, want one cold restart per member (%d)", rep.Restarts, opts.Members)
+			}
+		})
 	}
 }
