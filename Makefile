@@ -77,14 +77,17 @@ soak-cluster-short:
 	$(GO) run ./cmd/ipmserve -soak -soak-members 3 -soak-replicas 2 -soak-jobs 60 -soak-cycles 1 -soak-timeout 30s
 
 # Short native-fuzz pass over both parser entry points (strict and
-# tolerant), the streaming-scanner differential, the framed-WAL replay
-# path and the two cluster merge paths (per-job wire rollups and
-# partials); longer sessions:
-# go test -fuzz FuzzScanVsParse ./internal/profstore
+# tolerant), the event-level differential of the XML decoder's two
+# tokenizers (byte scanner vs encoding/xml token walk), the ingest
+# rollup vs its DOM reference, the framed-WAL replay path and the two
+# cluster merge paths (per-job wire rollups and partials); longer
+# sessions:
+# go test -fuzz FuzzScanVsWalk ./internal/ipm
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/ipmparse
 	$(GO) test -run '^$$' -fuzz FuzzTolerant -fuzztime $(FUZZTIME) ./internal/ipmparse
+	$(GO) test -run '^$$' -fuzz FuzzScanVsWalk -fuzztime $(FUZZTIME) ./internal/ipm
 	$(GO) test -run '^$$' -fuzz FuzzScanVsParse -fuzztime $(FUZZTIME) ./internal/profstore
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/profstore
 	$(GO) test -run '^$$' -fuzz FuzzRollupWire -fuzztime $(FUZZTIME) ./internal/profstore

@@ -177,7 +177,7 @@ func TestEnergyLegacyConfigsStayUnpowered(t *testing.T) {
 // spec rather than a baked-in device string.
 func TestBannerNamesDeviceBackend(t *testing.T) {
 	xml := runSquareOn(t, "a100", 7)
-	jp, _, err := ipm.ParseXMLTolerant(bytes.NewReader(xml))
+	jp, _, err := ipm.ParseXMLTolerant(xml)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,15 +272,6 @@ func TestXMLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseXMLErrors(t *testing.T) {
-	if _, err := ParseXML(strings.NewReader("not xml")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := ParseXML(strings.NewReader("<wrong/>")); err == nil {
-		t.Error("wrong root accepted")
-	}
-}
-
 func TestRegionsInXML(t *testing.T) {
 	fc := &fakeClock{}
 	m := NewMonitor(0, "h", "cmd", fc.clock, 0)

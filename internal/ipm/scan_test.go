@@ -2,7 +2,6 @@ package ipm
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 )
@@ -21,6 +20,8 @@ type countSink struct {
 		submitStall  time.Duration
 	}
 }
+
+func (c *countSink) Reset() { *c = countSink{} }
 
 func (c *countSink) Header(h *ScanHeader) {
 	c.headers++
@@ -49,7 +50,7 @@ func scan(t *testing.T, doc string) (*countSink, *ParseReport, bool, error) {
 	t.Helper()
 	sink := &countSink{}
 	var rep ParseReport
-	ok, err := ScanXMLTolerant([]byte(doc), sink, &rep)
+	ok, err := scanOnly([]byte(doc), sink, &rep)
 	return sink, &rep, ok, err
 }
 
@@ -103,22 +104,27 @@ func TestScanBailCases(t *testing.T) {
 		"<a 1x=\"1\"/>",              // name not [A-Za-z_]...
 		"<!-- c --><a/>",             // <! construct
 		"<!DOCTYPE a><a/>",           // directive
-		"<?xml version=\"1.0\" encoding=\"latin-1\"?><a/>", // non-UTF-8 PI
-		"</a>",         // stray end tag
-		"<a/ >",        // space after self-closing slash
-		"</a x=\"1\">", // junk in end tag
+		"<?xml version=\"1.0\" encoding=\"latin-1\"?><a/>",                                             // non-UTF-8 PI
+		"<?xml version=\"1.1\"?><ipm_log ntasks=\"1\"><task mpi_rank=\"0\"/></ipm_log>",                // unsupported version
+		"<?xml encoding=x encoding=\"latin1\"?><ipm_log ntasks=\"1\"><task mpi_rank=\"0\"/></ipm_log>", // second encoding= counts
+		"<a>caf\xc3\xa9</a>", // non-ASCII text
+		"<a x=\"&amp;\"/>",   // entity in attribute value
+		"<?pi \x01?><a/>",    // control byte in PI body
+		"</a>",               // stray end tag
+		"<a/ >",              // space after self-closing slash
+		"</a x=\"1\">",       // junk in end tag
 	} {
 		sink := &countSink{}
 		var rep ParseReport
-		if ok, _ := ScanXMLTolerant([]byte(doc), sink, &rep); ok {
-			t.Errorf("scanner accepted %q, must bail to the DOM parser", doc)
+		if ok, _ := scanOnly([]byte(doc), sink, &rep); ok {
+			t.Errorf("scanner accepted %q, must bail to the token walk", doc)
 		}
 	}
 }
 
 func TestScanTolerance(t *testing.T) {
 	// Decoder-tolerated oddities the scanner must also accept, with the
-	// same salvage warnings ParseXMLTolerant emits.
+	// same salvage warnings the encoding/xml token walk emits.
 	for _, tc := range []struct {
 		doc      string
 		warnings int
@@ -149,9 +155,9 @@ func TestScanTolerance(t *testing.T) {
 		if len(rep.Warnings) != tc.warnings {
 			t.Errorf("scan(%q) warnings = %q, want %d", tc.doc, rep.Warnings, tc.warnings)
 		}
-		// And the report must be exactly the DOM parser's.
-		_, drep, derr := ParseXMLTolerant(strings.NewReader(tc.doc))
-		if derr != nil {
+		// And the report must be exactly the token walk's.
+		drep := &ParseReport{}
+		if derr := walkOnly([]byte(tc.doc), &countSink{}, drep); derr != nil {
 			t.Errorf("reference parser rejected %q: %v", tc.doc, derr)
 			continue
 		}
@@ -173,7 +179,7 @@ func TestScanNoRootError(t *testing.T) {
 	if !ok {
 		t.Fatal("plain non-ipm XML should stay on the fast path")
 	}
-	_, _, derr := ParseXMLTolerant(strings.NewReader("<html>not ipm</html>"))
+	derr := walkOnly([]byte("<html>not ipm</html>"), &countSink{}, &ParseReport{})
 	if err == nil || derr == nil || err.Error() != derr.Error() {
 		t.Fatalf("no-root error mismatch: scan=%v parse=%v", err, derr)
 	}
@@ -238,7 +244,7 @@ func TestParseFloat64MatchesStrconv(t *testing.T) {
 func TestScanReportReuse(t *testing.T) {
 	var rep ParseReport
 	sink := &countSink{}
-	if ok, _ := ScanXMLTolerant([]byte(`<ipm_log ntasks="9"></ipm_log>`), sink, &rep); !ok {
+	if ok, _ := scanOnly([]byte(`<ipm_log ntasks="9"></ipm_log>`), sink, &rep); !ok {
 		t.Fatal("bailed")
 	}
 	if len(rep.Warnings) != 1 {
@@ -246,7 +252,7 @@ func TestScanReportReuse(t *testing.T) {
 	}
 	rep.Warnings = rep.Warnings[:0]
 	rep.Truncated, rep.TasksRecovered, rep.TasksDeclared = false, 0, 0
-	if ok, err := ScanXMLTolerant([]byte(`<ipm_log></ipm_log>`), sink, &rep); !ok || err != nil {
+	if ok, err := scanOnly([]byte(`<ipm_log></ipm_log>`), sink, &rep); !ok || err != nil {
 		t.Fatalf("second scan: ok=%v err=%v", ok, err)
 	}
 	if len(rep.Warnings) != 0 {

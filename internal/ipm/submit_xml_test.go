@@ -77,7 +77,7 @@ func TestSubmitXMLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("strict", strict)
-	tolerant, rep, err := ParseXMLTolerant(strings.NewReader(out))
+	tolerant, rep, err := ParseXMLTolerant([]byte(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestScanSubmitAttrs(t *testing.T) {
 </ipm_log>`
 	sink := &countSink{}
 	var rep ParseReport
-	ok, err := ScanXMLTolerant([]byte(doc), sink, &rep)
+	ok, err := scanOnly([]byte(doc), sink, &rep)
 	if !ok || err != nil {
 		t.Fatalf("scanner bailed on clean doc with submit attrs: ok=%v err=%v", ok, err)
 	}
@@ -130,7 +130,7 @@ func TestSubmitStallRederive(t *testing.T) {
 </region>
 </task>
 </ipm_log>`
-	jp, _, err := ParseXMLTolerant(strings.NewReader(doc))
+	jp, _, err := ParseXMLTolerant([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSubmitAttrsAbsentForOldReports(t *testing.T) {
 	if strings.Contains(sb.String(), "submit_") {
 		t.Errorf("profile without queue stats emitted submit attrs:\n%s", sb.String())
 	}
-	got, _, err := ParseXMLTolerant(strings.NewReader(sb.String()))
+	got, _, err := ParseXMLTolerant([]byte(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,11 @@ func Load(r io.Reader) (*ipm.JobProfile, error) { return ipm.ParseXML(r) }
 // the report describes what was lost. This is how ipm_parse must behave
 // on the log of a job that did not end cleanly.
 func LoadTolerant(r io.Reader) (*ipm.JobProfile, *ipm.ParseReport, error) {
-	return ipm.ParseXMLTolerant(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ipmparse: reading log: %w", err)
+	}
+	return ipm.ParseXMLTolerant(data)
 }
 
 // WriteBanner regenerates the termination banner from a parsed log.

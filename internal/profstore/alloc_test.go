@@ -9,8 +9,9 @@ import "testing"
 // ingest nearly allocation-free: what remains is the Job value, the
 // retained raw copy of the document, the tag slice and the rollup's
 // output maps. The bound is deliberately loose (the measured figure is
-// ~17) but far below the ~1100 allocs/op of the DOM route — a
-// regression back to per-token boxing trips it immediately.
+// ~17) but far below the ~1100 allocs/op of a DOM decode — a document
+// falling off the byte scanner onto encoding/xml's per-token boxing
+// trips it immediately.
 //
 // Excluded under -race: the race runtime adds bookkeeping allocations
 // that would make the pin meaningless.

@@ -3,19 +3,86 @@ package profstore
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ipmgo/internal/ipm"
 )
 
-// This file pins the streaming fast path to its semantic reference: for
-// every input the scanner accepts, the event-stream rollup, the salvage
-// report and the store-level ingest result must be identical to the
-// ParseXMLTolerant + computeRollup route. The same harness backs
-// FuzzScanVsParse.
+// This file pins rollupSink, the ingest-time reduction of the decoder's
+// event stream, to its reference: computeRollup, a flat fold over the
+// JobProfile that Job.Profile() decodes from the same bytes. The two
+// tokenizers behind ipm.DecodeXML are compared event by event in ipm
+// (FuzzScanVsWalk); FuzzScanVsParse fuzzes this reduction.
+
+// computeRollup reduces one job profile. jobID labels the imbalance rows.
+func computeRollup(jp *ipm.JobProfile, jobID string) *rollup {
+	ro := &rollup{
+		sites:   make(map[string]ipm.Stats),
+		kernels: make(map[string]ipm.Stats),
+	}
+	for _, r := range jp.Ranks {
+		ro.wall += r.Wallclock
+		ro.stall += r.SubmitStall
+		ro.energy += r.Energy
+		if r.Lost {
+			ro.lostRanks++
+		}
+		for _, e := range r.Entries {
+			name := e.Sig.Name
+			switch {
+			case isGPUExec(name):
+				ro.gpu += e.Stats.Total
+			case name == ipm.HostIdleName:
+				ro.idle += e.Stats.Total
+			case e.Sig.Pseudo():
+				// Per-kernel pseudo entries are tallied below; other
+				// pseudo entries only appear in the call-site table.
+			case isTransfer(name):
+				ro.xfer += e.Stats.Total
+			}
+			if ipm.Classify(name) == ipm.DomainMPI {
+				ro.mpi += e.Stats.Total
+			}
+			if k := kernelOf(name); k != "" {
+				st := ro.kernels[k]
+				st.Merge(e.Stats)
+				ro.kernels[k] = st
+				continue // per-kernel entries double the stream totals; keep them out of call sites
+			}
+			st := ro.sites[name]
+			st.Merge(e.Stats)
+			ro.sites[name] = st
+		}
+	}
+	if len(jp.Ranks) > 1 {
+		for _, ft := range jp.FuncTotals() {
+			ro.imb = append(ro.imb, ImbalanceAgg{
+				Name: ft.Name, MaxOverAvg: jp.Imbalance(ft.Name), WorstJob: jobID,
+			})
+		}
+	}
+	return ro
+}
+
+// isGPUExec is the string twin of ingest.go's isGPUExecB.
+func isGPUExec(name string) bool {
+	return strings.HasPrefix(name, "@CUDA_EXEC_STRM") && !strings.Contains(name, ":")
+}
+
+// rerollFromDOM replaces every job's ingest-time rollup with the
+// reference computeRollup over its decoded profile, so a test can run
+// the same queries over both reductions.
+func rerollFromDOM(s *Store) {
+	for _, j := range s.List() {
+		j.rollup = computeRollup(j.Profile(), j.ID)
+	}
+	s.invalidateMemo()
+}
 
 // diffCorpus returns every XML fixture the repo carries, plus
 // truncations and point mutations of each — the inputs most likely to
@@ -54,39 +121,31 @@ func diffCorpus(t testing.TB) [][]byte {
 			derived = append(derived, m)
 		}
 	}
+	// <?xml PIs that encoding/xml rejects: unless the scanner bails on
+	// them too, ingest keeps a job whose Profile() has no ranks.
+	derived = append(derived,
+		[]byte(`<?xml version="1.1"?><ipm_log ntasks="1"><task mpi_rank="0"/></ipm_log>`),
+		[]byte(`<?xml encoding=x encoding="latin1"?><ipm_log ntasks="1"><task mpi_rank="0"/></ipm_log>`))
 	return append(corpus, derived...)
 }
 
-// diffScan compares ScanXMLTolerant + rollupSink against
-// ParseXMLTolerant + computeRollup on one input. Returns whether the
-// fast path engaged.
-func diffScan(t testing.TB, data []byte) bool {
+// diffScan compares DecodeXML + rollupSink, the ingest route, against
+// ParseXMLTolerant + computeRollup, the Job.Profile() route, on one
+// input: the same error, report, command, rank count and rollup.
+func diffScan(t testing.TB, data []byte) {
 	t.Helper()
-	if !prescanClean(data) {
-		return false // ingest would not offer this input to the scanner
-	}
 	sink := newRollupSink()
-	sink.reset()
 	var rep ipm.ParseReport
-	ok, serr := ipm.ScanXMLTolerant(data, sink, &rep)
-	if !ok {
-		return false // bail-out: fallback handles it, nothing to compare
-	}
-	jp, drep, derr := ipm.ParseXMLTolerant(bytes.NewReader(data))
-	if (serr == nil) != (derr == nil) || (serr != nil && serr.Error() != derr.Error()) {
-		t.Fatalf("scan error %v, parse error %v\ninput: %q", serr, derr, data)
+	serr := ipm.DecodeXML(data, sink, &rep)
+	jp, drep, derr := ipm.ParseXMLTolerant(data)
+	if fmt.Sprint(serr) != fmt.Sprint(derr) {
+		t.Fatalf("ingest error %v, parse error %v\ninput: %q", serr, derr, data)
 	}
 	if serr != nil {
-		return true
+		return
 	}
-	if !reflect.DeepEqual(rep.Warnings, drep.Warnings) &&
-		!(len(rep.Warnings) == 0 && len(drep.Warnings) == 0) {
-		t.Fatalf("warnings diverge\nscan:  %q\nparse: %q\ninput: %q", rep.Warnings, drep.Warnings, data)
-	}
-	if rep.Truncated != drep.Truncated ||
-		rep.TasksRecovered != drep.TasksRecovered ||
-		rep.TasksDeclared != drep.TasksDeclared {
-		t.Fatalf("report diverges\nscan:  %+v\nparse: %+v\ninput: %q", rep, *drep, data)
+	if !reflect.DeepEqual(rep, *drep) {
+		t.Fatalf("report diverges\ningest: %+v\nparse:  %+v\ninput: %q", rep, *drep, data)
 	}
 	if sink.command != jp.Command {
 		t.Fatalf("command %q vs %q\ninput: %q", sink.command, jp.Command, data)
@@ -97,9 +156,8 @@ func diffScan(t testing.TB, data []byte) bool {
 	got := sink.build("j")
 	want := computeRollup(jp, "j")
 	if !rollupEqual(got, want) {
-		t.Fatalf("rollup diverges\nscan:  %+v\nparse: %+v\ninput: %q", got, want, data)
+		t.Fatalf("rollup diverges\ningest: %+v\nparse:  %+v\ninput: %q", got, want, data)
 	}
-	return true
 }
 
 // rollupEqual compares two rollups field by field; empty and nil maps
@@ -132,57 +190,9 @@ func rollupEqual(a, b *rollup) bool {
 	return true
 }
 
-// diffStore ingests the same document into a streaming store and a
-// forced-DOM store and demands identical jobs, errors and /agg output.
-func diffStore(t testing.TB, data []byte) {
-	t.Helper()
-	fast, slow := New(), New()
-	slow.forceDOM = true
-	jf, errF := fast.Ingest(data, "", []string{"t"})
-	js, errS := slow.Ingest(data, "", []string{"t"})
-	if (errF == nil) != (errS == nil) || (errF != nil && errF.Error() != errS.Error()) {
-		t.Fatalf("ingest error diverges: %v vs %v\ninput: %q", errF, errS, data)
-	}
-	if errF != nil {
-		return
-	}
-	if jf.ID != js.ID || jf.Command != js.Command || jf.Salvaged != js.Salvaged ||
-		jf.Warnings != js.Warnings || jf.Ranks != js.Ranks || jf.Bytes != js.Bytes {
-		t.Fatalf("jobs diverge\nfast: %+v\nslow: %+v\ninput: %q", jf, js, data)
-	}
-	af, _ := json.Marshal(fast.Aggregate(AggOptions{}))
-	as, _ := json.Marshal(slow.Aggregate(AggOptions{}))
-	if !bytes.Equal(af, as) {
-		t.Fatalf("/agg diverges\nfast: %s\nslow: %s\ninput: %q", af, as, data)
-	}
-}
-
 func TestScanVsParseCorpus(t *testing.T) {
-	engaged := 0
 	for _, doc := range diffCorpus(t) {
-		if diffScan(t, doc) {
-			engaged++
-		}
-		diffStore(t, doc)
-	}
-	if engaged == 0 {
-		t.Fatal("scanner bailed on every fixture: the fast path never runs")
-	}
-}
-
-// TestScanFastPathEngages pins that the clean fixtures actually take
-// the streaming path — without this, a scanner that bails on everything
-// would pass every differential test by vacuity.
-func TestScanFastPathEngages(t *testing.T) {
-	for _, name := range []string{"base.xml", "head.xml"} {
-		doc := fixture(t, name)
-		sink := newRollupSink()
-		sink.reset()
-		var rep ipm.ParseReport
-		ok, err := ipm.ScanXMLTolerant(doc, sink, &rep)
-		if !ok || err != nil {
-			t.Errorf("%s: scanner bailed (ok=%v err=%v) on a clean fixture", name, ok, err)
-		}
+		diffScan(t, doc)
 	}
 }
 
@@ -190,7 +200,7 @@ func TestScanFastPathEngages(t *testing.T) {
 // to the exported DeriveID (part of the WAL/API contract).
 func TestFormatIDMatchesDeriveID(t *testing.T) {
 	for _, in := range []string{"", "ipm", "<ipm_log/>", string(fixture(t, "base.xml"))} {
-		h, _ := prescanHash([]byte(in))
+		h := prescanHash([]byte(in))
 		if got, want := formatID(h), DeriveID([]byte(in)); got != want {
 			t.Errorf("formatID(%q) = %s, DeriveID = %s", in, got, want)
 		}
@@ -232,9 +242,10 @@ func TestAppendWALRecordMatchesJSON(t *testing.T) {
 	}
 }
 
-// FuzzScanVsParse is the differential fuzzer: any input the scanner
-// accepts must produce the same rollup, warnings and store behavior as
-// the DOM route, and any ASCII input must WAL-encode identically to
+// FuzzScanVsParse is the differential fuzzer of the two rollup
+// builders: any input must produce the same rollup, warnings and error
+// through ingest's reduction as through computeRollup over the decoded
+// profile, and any ASCII input must WAL-encode identically to
 // encoding/json.
 func FuzzScanVsParse(f *testing.F) {
 	for _, doc := range diffCorpus(f) {
@@ -253,7 +264,6 @@ func FuzzScanVsParse(f *testing.F) {
 			return
 		}
 		diffScan(t, data)
-		diffStore(t, data)
 		if rec, ok := appendWALRecord(nil, "j", []string{"t"}, data); ok {
 			m, err := json.Marshal(walRecord{ID: "j", Tags: []string{"t"}, XML: string(data)})
 			if err != nil {

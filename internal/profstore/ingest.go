@@ -10,34 +10,18 @@ import (
 
 // This file is the streaming ingest hot path: one pass over the raw XML
 // computes the content-hash id, the per-job rollup and the WAL record,
-// with all scratch state pooled and reused across uploads. The
-// byte-level scan itself lives in ipm.ScanXMLTolerant; everything here
-// is the reduction that used to run over the JobProfile DOM
-// (computeRollup) re-expressed as a ScanSink, plus the cleanliness
-// prescan that decides whether the fast path applies at all.
+// with all scratch state pooled and reused across uploads. Decoding is
+// ipm.DecodeXML's (its byte scanner, or its encoding/xml token walk on
+// documents off the scanner's grammar); everything here is the
+// reduction of its event stream into a rollup, as a ScanSink.
 //
-// Correctness rests on two properties, both enforced by differential
-// tests and FuzzScanVsParse:
-//
-//  1. the scanner's event stream matches ParseXMLTolerant on every
-//     input it accepts (see scan.go for the bail-out contract), and
-//  2. folding entries per name first and merging the per-name subtotals
-//     afterwards yields the same rollup as computeRollup's flat fold —
-//     ipm.Stats.Merge is commutative and associative over non-empty
-//     operands, zero-count operands contribute nothing, and the
-//     unconditional duration sums are plain integer addition.
-
-// cleanByte marks the bytes on which the fast scanner is byte-exact
-// with encoding/xml: printable ASCII plus tab/LF/CR, minus '&' (entity
-// expansion rewrites the text).
-var cleanByte = func() (t [256]bool) {
-	for c := 0x20; c < 0x7f; c++ {
-		t[c] = true
-	}
-	t['\t'], t['\n'], t['\r'] = true, true, true
-	t['&'] = false
-	return
-}()
+// Correctness rests on folding entries per name first and merging the
+// per-name subtotals afterwards yielding the same rollup as a flat fold
+// over the decoded JobProfile (the reference in differential_test.go,
+// enforced there and by FuzzScanVsParse): ipm.Stats.Merge is
+// commutative and associative over non-empty operands, zero-count
+// operands contribute nothing, and the unconditional duration sums are
+// plain integer addition.
 
 // fnv1aOffset/fnv1aPrime are the FNV-1a 64-bit parameters, matching
 // hash/fnv (and therefore DeriveID).
@@ -46,28 +30,14 @@ const (
 	fnv1aPrime  = 1099511628211
 )
 
-// prescanHash walks the document once, computing the FNV-1a content
-// hash (the derived job id) and the fast-path cleanliness verdict in
-// the same pass.
-func prescanHash(xml []byte) (hash uint64, clean bool) {
+// prescanHash computes the FNV-1a content hash of the document: the
+// derived job id.
+func prescanHash(xml []byte) uint64 {
 	h := uint64(fnv1aOffset)
-	clean = true
 	for _, b := range xml {
 		h = (h ^ uint64(b)) * fnv1aPrime
-		clean = clean && cleanByte[b]
 	}
-	return h, clean
-}
-
-// prescanClean is prescanHash without the hash, for ingests that supply
-// an id; it exits at the first disqualifying byte.
-func prescanClean(xml []byte) bool {
-	for _, b := range xml {
-		if !cleanByte[b] {
-			return false
-		}
-	}
-	return true
+	return h
 }
 
 // formatID renders a content hash as the derived job id, equal to
@@ -146,9 +116,8 @@ type rollupSink struct {
 	lostRanks int
 
 	// Submit-stall fold. The task-level attribute wins when present;
-	// logs predating it fall back to summing the entry attributes —
-	// mirroring FromXML's re-derivation, so scanning stays differential
-	// with the parse path.
+	// logs predating it fall back to summing the entry attributes — the
+	// same rule the JobProfile builder in ipm applies.
 	stall          time.Duration
 	taskStall      time.Duration
 	taskEntryStall time.Duration
@@ -166,9 +135,9 @@ func newRollupSink() *rollupSink {
 	}
 }
 
-// reset prepares the sink for a new document without discarding the
+// Reset prepares the sink for a new document without discarding the
 // interned name cache.
-func (k *rollupSink) reset() {
+func (k *rollupSink) Reset() {
 	k.run++
 	k.list = k.list[:0]
 	k.command = ""
@@ -245,7 +214,7 @@ func (k *rollupSink) lookup(name []byte) *nameAcc {
 func (k *rollupSink) Entry(e *ipm.ScanEntry) {
 	name := e.Name
 	total := e.Total
-	// The classification switch of computeRollup, on raw bytes.
+	// Classify the entry's time into the rollup's domains, on raw bytes.
 	switch {
 	case isGPUExecB(name):
 		k.gpu += total
@@ -291,16 +260,18 @@ func containsB(b []byte, sub string) bool {
 	return false
 }
 
-// isTransferB / isGPUExecB are the byte-slice twins of agg.go's
-// classifiers.
+// isTransferB is the byte-slice twin of agg.go's isTransfer.
 func isTransferB(b []byte) bool { return containsB(b, "Memcpy") || containsB(b, "Memset") }
 
+// isGPUExecB matches the per-stream kernel-execution pseudo entries
+// (@CUDA_EXEC_STRMxx without a :kernel suffix), the basis of the paper's
+// GPU utilisation metric.
 func isGPUExecB(b []byte) bool {
 	return hasPrefixB(b, "@CUDA_EXEC_STRM") && !containsB(b, ":")
 }
 
 // build materializes the accumulated state into the immutable rollup,
-// byte-identical to computeRollup over the equivalent JobProfile.
+// byte-identical to a flat fold over the equivalent JobProfile.
 func (k *rollupSink) build(jobID string) *rollup {
 	ro := &rollup{
 		wall: k.wall, gpu: k.gpu, xfer: k.xfer, idle: k.idle, mpi: k.mpi,
@@ -360,7 +331,7 @@ func (k *rollupSink) build(jobID string) *rollup {
 }
 
 // ingestScratch is the pooled per-ingest working set: the sink, the
-// scanner's parse report (its warning slice's backing array is reused)
+// decoder's parse report (its warning slice's backing array is reused)
 // and the WAL encode buffer.
 type ingestScratch struct {
 	sink   *rollupSink
@@ -370,15 +341,6 @@ type ingestScratch struct {
 
 var scratchPool = sync.Pool{
 	New: func() any { return &ingestScratch{sink: newRollupSink()} },
-}
-
-// resetReport clears a recycled ParseReport, keeping the warning
-// slice's capacity.
-func resetReport(rep *ipm.ParseReport) {
-	rep.Warnings = rep.Warnings[:0]
-	rep.Truncated = false
-	rep.TasksRecovered = 0
-	rep.TasksDeclared = 0
 }
 
 // appendJSONBytes appends s as a JSON string literal, byte-identical

@@ -66,7 +66,7 @@ func BuildPartial(jobs []*Job) *Partial {
 
 // add folds one job's ingest-time rollup into p.
 func (p *Partial) add(job *Job) {
-	ro := job.roll()
+	ro := job.rollup
 	p.jobs++
 	p.ranks += job.Ranks
 	p.lostRanks += ro.lostRanks

@@ -21,7 +21,6 @@
 package profstore
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -71,32 +70,27 @@ type Job struct {
 	Ranks    int      // rank snapshots recovered
 	Bytes    int      // size of the ingested XML document
 
-	// The streaming ingest path never builds the JobProfile DOM; it
-	// retains the raw document instead and Profile() parses it lazily on
-	// first use (the /jobs and /job/{id} detail paths). The fallback
-	// DOM-parse path pre-sets prof and retains nothing.
+	// Ingest never builds the JobProfile DOM; it retains the raw
+	// document instead and Profile() decodes it lazily on first use (the
+	// /jobs and /job/{id} detail paths).
 	raw      []byte
 	profOnce sync.Once
 	prof     *ipm.JobProfile
 
-	// rollup is the per-job pre-aggregation, computed once at ingest and
-	// immutable afterwards (see rollup.go).
+	// rollup is the per-job pre-aggregation, computed once at ingest (or
+	// carried over the wire) and immutable afterwards (see rollup.go).
 	rollup *rollup
 }
 
-// Profile returns the job's full DOM profile, parsing the retained
-// document on first use. Safe for concurrent callers; the parse runs at
-// most once per job.
+// Profile returns the job's full DOM profile, decoding the retained
+// document on first use through the same decoder ingest used. Safe for
+// concurrent callers; the decode runs at most once per job.
 func (j *Job) Profile() *ipm.JobProfile {
 	j.profOnce.Do(func() {
-		if j.prof != nil {
-			return
-		}
-		jp, _, err := ipm.ParseXMLTolerant(bytes.NewReader(j.raw))
+		jp, _, err := ipm.ParseXMLTolerant(j.raw)
 		if err != nil {
-			// Unreachable for documents the streaming scanner accepted
-			// (it found the ipm_log root); keep a usable zero profile
-			// rather than a nil deref if that invariant ever breaks.
+			// Only wire jobs (WireJob.Job) carry no document; ingest
+			// rejected every document without an ipm_log root.
 			jp = ipm.NewJobProfile(j.Command, 0, nil)
 		}
 		j.prof = jp
@@ -160,11 +154,6 @@ type Store struct {
 	salvaged atomic.Int64 // ingests the tolerant parser had to salvage
 	replaced atomic.Int64 // ingests that replaced an existing job id
 	bytesIn  atomic.Int64 // XML bytes successfully ingested
-
-	// forceDOM disables the streaming scan fast path so tests can drive
-	// the ParseXMLTolerant fallback on inputs the scanner would accept
-	// and compare the two end to end.
-	forceDOM bool
 
 	// epoch advances after every shard insert; the memo cache (memo.go)
 	// keys cached /agg and /regress reports by it.
@@ -464,13 +453,8 @@ func (s *Store) maybeCompact() {
 }
 
 // ingest is the one-pass streaming write path: a prescan settles the
-// content-hash id and whether the zero-copy scanner applies, then a
-// single scan over the bytes produces the rollup, the job metadata and
-// (via the pooled buffer) the WAL record. Documents off the scanner's
-// fast-path grammar — non-ASCII, entities, truncation, decoder
-// oddities — take the original ParseXMLTolerant + computeRollup route,
-// which is the semantic reference the scanner must agree with
-// (FuzzScanVsParse enforces exactly that).
+// content-hash id, then one ipm.DecodeXML pass over the bytes produces
+// the rollup and the job metadata, and the pooled buffer the WAL record.
 func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, error) {
 	if logIt {
 		// Shared lifecycle lock for the WAL-append + insert sequence;
@@ -488,68 +472,22 @@ func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, 
 	sc := scratchPool.Get().(*ingestScratch)
 	defer scratchPool.Put(sc)
 
-	var clean bool
 	if id == "" {
-		var hash uint64
-		hash, clean = prescanHash(xml)
-		id = formatID(hash) // == DeriveID(xml)
-	} else {
-		clean = prescanClean(xml)
+		id = formatID(prescanHash(xml)) // == DeriveID(xml)
 	}
-	if s.forceDOM {
-		clean = false
+	if err := ipm.DecodeXML(xml, sc.sink, &sc.rep); err != nil {
+		return nil, fmt.Errorf("profstore: ingest: %w", err)
 	}
-
-	var (
-		ro       *rollup
-		jp       *ipm.JobProfile
-		command  string
-		salvaged bool
-		warnings int
-		nranks   int
-	)
-	if clean {
-		sc.sink.reset()
-		resetReport(&sc.rep)
-		if ok, serr := ipm.ScanXMLTolerant(xml, sc.sink, &sc.rep); ok {
-			if serr != nil {
-				return nil, fmt.Errorf("profstore: ingest: %w", serr)
-			}
-			ro = sc.sink.build(id)
-			command = sc.sink.command
-			warnings = len(sc.rep.Warnings)
-			salvaged = sc.rep.Truncated || warnings > 0
-			nranks = sc.sink.tasks
-		}
-	}
-	if ro == nil {
-		var rep *ipm.ParseReport
-		var err error
-		jp, rep, err = ipm.ParseXMLTolerant(bytes.NewReader(xml))
-		if err != nil {
-			return nil, fmt.Errorf("profstore: ingest: %w", err)
-		}
-		ro = computeRollup(jp, id)
-		command = jp.Command
-		warnings = len(rep.Warnings)
-		salvaged = rep.Truncated || warnings > 0
-		nranks = len(jp.Ranks)
-	}
-
 	job := &Job{
 		ID:       id,
 		Tags:     normTags(tags),
-		Command:  command,
-		Salvaged: salvaged,
-		Warnings: warnings,
-		Ranks:    nranks,
+		Command:  sc.sink.command,
+		Salvaged: sc.rep.Truncated || len(sc.rep.Warnings) > 0,
+		Warnings: len(sc.rep.Warnings),
+		Ranks:    sc.sink.tasks,
 		Bytes:    len(xml),
-		prof:     jp,
-		rollup:   ro,
-	}
-	if jp == nil {
-		// Streaming path: keep the raw bytes for the lazy DOM parse.
-		job.raw = append([]byte(nil), xml...)
+		raw:      append([]byte(nil), xml...),
+		rollup:   sc.sink.build(id),
 	}
 
 	// WAL before store: a record that made it to the log is the ingest;

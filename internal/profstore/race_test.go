@@ -79,16 +79,15 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 }
 
-// TestConcurrentStreamVsDOMIngest runs the same corpus through a
-// streaming store and a forced-DOM store, both under concurrent ingest
-// with live /agg readers, and demands byte-identical aggregates. Under
-// -race this doubles as the proof that the pooled scan scratch is safe
-// across goroutines.
+// TestConcurrentStreamVsDOMIngest runs the same corpus through two
+// stores under concurrent ingest with live /agg readers, re-reduces the
+// second store's jobs from their decoded DOM profiles (rerollFromDOM),
+// and demands byte-identical aggregates. Under -race this doubles as
+// the proof that the pooled ingest scratch is safe across goroutines.
 func TestConcurrentStreamVsDOMIngest(t *testing.T) {
 	const jobs, writers = 60, 8
-	build := func(forceDOM bool) []byte {
+	build := func(fromDOM bool) []byte {
 		s := New()
-		s.forceDOM = forceDOM
 		var wg sync.WaitGroup
 		work := make(chan int)
 		for w := 0; w < writers; w++ {
@@ -109,6 +108,9 @@ func TestConcurrentStreamVsDOMIngest(t *testing.T) {
 		}
 		close(work)
 		wg.Wait()
+		if fromDOM {
+			rerollFromDOM(s)
+		}
 		return aggJSON(t, s)
 	}
 	fast := build(false)

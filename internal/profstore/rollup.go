@@ -6,7 +6,8 @@ import (
 	"ipmgo/internal/ipm"
 )
 
-// rollup is the per-job pre-aggregation computed once at ingest: every
+// rollup is the per-job pre-aggregation computed once at ingest (by
+// rollupSink, ingest.go) or carried over the wire (WireJob.Job): every
 // quantity Aggregate and Regress need from a job, reduced from the
 // per-rank entry walk to a handful of maps. Because ipm.Stats.Merge is
 // commutative and associative (integer sums plus zero-count-guarded
@@ -41,64 +42,4 @@ type rollup struct {
 	// per distinct site, in FuncTotals order. Empty for single-rank jobs,
 	// which carry no balance information.
 	imb []ImbalanceAgg
-}
-
-// computeRollup reduces one job profile. jobID labels the imbalance rows.
-func computeRollup(jp *ipm.JobProfile, jobID string) *rollup {
-	ro := &rollup{
-		sites:   make(map[string]ipm.Stats),
-		kernels: make(map[string]ipm.Stats),
-	}
-	for _, r := range jp.Ranks {
-		ro.wall += r.Wallclock
-		ro.stall += r.SubmitStall
-		ro.energy += r.Energy
-		if r.Lost {
-			ro.lostRanks++
-		}
-		for _, e := range r.Entries {
-			name := e.Sig.Name
-			switch {
-			case isGPUExec(name):
-				ro.gpu += e.Stats.Total
-			case name == ipm.HostIdleName:
-				ro.idle += e.Stats.Total
-			case e.Sig.Pseudo():
-				// Per-kernel pseudo entries are tallied below; other
-				// pseudo entries only appear in the call-site table.
-			case isTransfer(name):
-				ro.xfer += e.Stats.Total
-			}
-			if ipm.Classify(name) == ipm.DomainMPI {
-				ro.mpi += e.Stats.Total
-			}
-			if k := kernelOf(name); k != "" {
-				st := ro.kernels[k]
-				st.Merge(e.Stats)
-				ro.kernels[k] = st
-				continue // per-kernel entries double the stream totals; keep them out of call sites
-			}
-			st := ro.sites[name]
-			st.Merge(e.Stats)
-			ro.sites[name] = st
-		}
-	}
-	if len(jp.Ranks) > 1 {
-		for _, ft := range jp.FuncTotals() {
-			ro.imb = append(ro.imb, ImbalanceAgg{
-				Name: ft.Name, MaxOverAvg: jp.Imbalance(ft.Name), WorstJob: jobID,
-			})
-		}
-	}
-	return ro
-}
-
-// roll returns the job's rollup, computing one on the fly (without
-// caching, to stay race-free on shared Jobs) for jobs that were built
-// outside Store.ingest.
-func (j *Job) roll() *rollup {
-	if j.rollup != nil {
-		return j.rollup
-	}
-	return computeRollup(j.Profile(), j.ID)
 }

@@ -30,9 +30,9 @@ const (
 	walMagic0     = 0xf5 // first magic byte: never starts a legacy JSON line
 	walVersion    = 1
 	walHeaderSize = 13
-	// maxWALPayload bounds a frame's claimed length: maxIngestBytes of
+	// maxWALPayload bounds a frame's claimed length: MaxIngestBytes of
 	// XML expands at most 6x under JSON escaping, plus id/tags slack.
-	maxWALPayload = 6*maxIngestBytes + 1<<20
+	maxWALPayload = 6*MaxIngestBytes + 1<<20
 )
 
 var walMagic = [4]byte{walMagic0, 'I', 'P', 'W'}

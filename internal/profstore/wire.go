@@ -122,7 +122,7 @@ func sitesMap(ws []WireSite) map[string]ipm.Stats {
 
 // Wire converts the job to its wire image.
 func (j *Job) Wire() WireJob {
-	ro := j.roll()
+	ro := j.rollup
 	w := WireJob{
 		ID: j.ID, Command: j.Command, Tags: j.Tags,
 		Ranks: j.Ranks, Salvaged: j.Salvaged, Warnings: j.Warnings,
@@ -162,15 +162,11 @@ func (w WireJob) Job() *Job {
 			ro.imb[i] = ImbalanceAgg{Name: ia.Name, MaxOverAvg: ia.MaxOverAvg, WorstJob: ia.WorstJob}
 		}
 	}
-	j := &Job{
+	return &Job{
 		ID: w.ID, Command: w.Command, Tags: w.Tags,
 		Ranks: w.Ranks, Salvaged: w.Salvaged, Warnings: w.Warnings,
 		Bytes: w.Bytes, rollup: ro,
 	}
-	// Pre-arm the lazy DOM with an empty profile so a stray Profile()
-	// call on a wire job degrades instead of parsing nil bytes.
-	j.prof = ipm.NewJobProfile(w.Command, w.Ranks, nil)
-	return j
 }
 
 // WireJobs returns the wire image of the whole corpus, sorted by job id.

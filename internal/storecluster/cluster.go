@@ -30,10 +30,6 @@ const (
 	MetricQuorumFails = "ipm_cluster_quorum_failures_total"
 )
 
-// maxIngestBytes mirrors the single-node ingest body cap: the router is
-// OOM-safe against the same malformed client a member is.
-const maxIngestBytes = 64 << 20
-
 // retryAfterSeconds mirrors the single-node 503 backoff hint.
 const retryAfterSeconds = 5
 
@@ -278,13 +274,13 @@ type ownerResult struct {
 }
 
 func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, profstore.MaxIngestBytes+1))
 	if err != nil {
 		fail(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if len(body) > maxIngestBytes {
-		fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxIngestBytes)
+	if len(body) > profstore.MaxIngestBytes {
+		fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", profstore.MaxIngestBytes)
 		return
 	}
 	var tags []string
